@@ -36,6 +36,7 @@ from .errorbounds import (
     RangeErrorVerdict,
     SignCertified,
     annotate,
+    compile_guard,
     dynamic_bound,
     guarded_eval,
     safety_lower_multivariate,

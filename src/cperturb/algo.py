@@ -13,13 +13,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
 from .bounds import BoundSet, PredicateDescription
-from .grid import GridSpec, SplitMix64, compute_emax
+from .grid import GridSpec, SplitMix64, compute_emax, grid_float
 from .qr import quantified_relations
 from .reals import RVal, ceil_rval, nth_root, pi_enclosure, refine
-from .softfloat import SoftFloat, fl_round
+from .softfloat import SoftFloat
+
+# benchmarks/tracing.py wraps fl_round under this module's name
+from .softfloat import fl_round  # noqa: F401
 
 Exact = Union[int, Fraction]
 Outcome = tuple  # ('success', payload) | ('guard_failure', None) | ('range_error', None)
@@ -165,24 +169,37 @@ def _sample_shape_input(
     rng: SplitMix64,
 ) -> Optional[tuple[SoftFloat, ...]]:
     """One uniform grid point of the full perturbation area; None when a
-    rejection pass found no in-shape grid point after many tries."""
+    rejection pass found no in-shape grid point after many tries.
+
+    Works on integer grid indices.  The draws follow the order of the
+    coordinate loop, and an empty index range returns None only when the loop
+    reaches its coordinate, so seeded streams repeat exactly.
+    """
     cpo = shape.coords_per_object
     if len(ybar) % cpo:
         raise ValueError("input length does not match the shape's grouping")
-    tau = spec.tau
+    ranges = [(lo, hi - lo + 1) for lo, hi in (spec.index_range_about(c, delta) for c in ybar)]
+    t = spec.L + 1 - spec.emax  # tau = 2^-t
     out: list[SoftFloat] = []
     for base in range(0, len(ybar), cpo):
-        group = [Fraction(c) for c in ybar[base : base + cpo]]
+        group = ranges[base : base + cpo]
+        if shape.kind != "box":
+            # the disc/ball test on integers: every length times S
+            centers = ybar[base : base + cpo]
+            S = lcm(delta.denominator, *(c.denominator for c in centers)) << max(t, 0)
+            unit = S >> t if t >= 0 else S << -t  # S * tau
+            scaled = [c.numerator * (S // c.denominator) for c in centers]
+            radius2 = (delta.numerator * (S // delta.denominator)) ** 2
         for _ in range(4096):
-            cand = []
-            for c in group:
-                lo, hi = spec.index_range(c - delta, c + delta)
-                if hi < lo:
+            lams = []
+            for lo, span in group:
+                if span <= 0:
                     return None
-                lam = lo + rng.uniform_int(hi - lo + 1)
-                cand.append(lam * tau)
-            if shape.kind == "box" or sum((x - c) ** 2 for x, c in zip(cand, group)) <= delta * delta:
-                out.extend(fl_round(v, spec.L, spec.K) for v in cand)
+                lams.append(lo + rng.uniform_int(span))
+            if shape.kind == "box" or sum(
+                (lam * unit - sc) ** 2 for lam, sc in zip(lams, scaled)
+            ) <= radius2:
+                out.extend(grid_float(lam, spec) for lam in lams)
                 break
         else:
             return None
@@ -290,11 +307,11 @@ def _acp_loop(
     L, K = L0, K0
     for _ in range(max_rounds):
         stats.rounds += 1
-        stats.L_sequence.append(L)
-        stats.K_sequence.append(K)
         # K must leave room for the grid: emax + 1 < 2^(K-1)
         while emax + 1 >= (1 << (K - 1)):
             K += 1
+        stats.L_sequence.append(L)
+        stats.K_sequence.append(K)
         spec = GridSpec(L, K, emax)
         round_kind = "guard_failure"
         result = None

@@ -1,9 +1,10 @@
 """Command-line harness: analyze | enumerate | simulate | hull.
 
-Exit codes: 0 ok, 2 not analyzable, 3 iteration cap exceeded.  The default
-seed comes from the CP_SEED environment variable (else 0).  All output is
-byte-deterministic given flags and seed; enumeration ratios are printed as
-exact fractions with no floating point anywhere on that path.
+Exit codes: 0 ok, 2 not analyzable or inadmissible input, 3 iteration cap
+exceeded.  The default seed comes from the CP_SEED environment variable
+(else 0).  All output is byte-deterministic given flags and seed; enumeration
+ratios are printed as exact fractions with no floating point anywhere on that
+path.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ from .softfloat import count_floats, float_set_size, fl_round
 
 class RefuseEnumeration(ValueError):
     """The requested set is too large to enumerate (more than 10^7 members)."""
+
+
+class InadmissibleInput(ValueError):
+    """Input that no perturbation can make solvable, such as a hull of fewer
+    than three points: the loop would grow L without end."""
 
 
 def frac_str(v: Fraction) -> str:
@@ -412,6 +418,9 @@ def read_points_csv(path: str) -> list[tuple[Fraction, Fraction]]:
 
 def cmd_hull(args) -> int:
     pts = read_points_csv(args.input)
+    if len(pts) < 3:
+        # repeated points count: perturbation separates them
+        raise InadmissibleInput(f"a hull needs at least three points, {args.input} has {len(pts)}")
     flat = [c for pt in pts for c in pt]
     delta = parse_exact(args.delta)
     shape = PerturbationShape(args.shape, delta)
@@ -538,6 +547,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except RefuseEnumeration as exc:
         print(f"refusing enumeration: {exc}", file=sys.stderr)
+        return 2
+    except InadmissibleInput as exc:
+        print(f"inadmissible input: {exc}", file=sys.stderr)
         return 2
     except (NotAnalyzable, BudgetTooLarge) as exc:
         print(f"not analyzable: {exc}", file=sys.stderr)

@@ -21,28 +21,39 @@ Guarded evaluation splits at Min/Max/Abs/Div above the arithmetic: children
 are guarded independently and the composite sign follows from the certified
 child signs, which is exactly the shape the region analysis assumes (the
 fp-safe set is the product of the children's safe sets).
+
+Guards are compiled once per expression (compile_guard) and memoized on the
+expression instance.  Each maximal arithmetic block becomes straight-line
+Python on signed integer significand/exponent pairs, rounding every operation
+exactly as softfloat does.  The dynamic sup (the sup recursion seeded with
+the actual input magnitudes) is carried as an exact dyadic integer pair, so
+the certify test |v| > min(ind * dynsup * 2^-L, static) is an integer
+shift-compare; the static bound is computed only when that test fails and is
+then cached per (block, emax, L).  A block holding a non-dyadic constant
+carries its dynamic sup as an exact Fraction instead.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exact import Exact
 from .expr import Abs, Add, Const, Div, Expr, Input, Max, Min, Mul, Sub
 from .reals import ceil_log2
 from .softfloat import (
-    DivisionByZero,
     RangeError,
     SoftFloat,
-    fl_abs,
-    fl_binop,
-    fl_cmp,
+    _round_scaled,
     fl_round,
     is_representable,
 )
+
+# softfloat operations benchmarks/tracing.py wraps under this module's names
+from .softfloat import fl_abs, fl_binop, fl_cmp  # noqa: F401
 
 
 class UnsupportedNode(TypeError):
@@ -108,51 +119,6 @@ def static_bound(ann: AnnotatedExpr, L: int) -> Fraction:
     return ann.ind * ann.sup * Fraction(2) ** (-L)
 
 
-@dataclass(frozen=True)
-class _EvalInfo:
-    value: SoftFloat
-    dynsup: Fraction  # sup recursion seeded with the actual input magnitudes
-    ind: int
-
-
-def _eval_arithmetic(e: Expr, x: Sequence[SoftFloat], L: int, K: int) -> _EvalInfo:
-    if isinstance(e, Const):
-        v = fl_round(e.value, L, K, source_op="const")
-        ind = 0 if v.to_fraction() == e.value else 1
-        return _EvalInfo(v, max(abs(e.value), abs(v.to_fraction())), ind)
-    if isinstance(e, Input):
-        v = x[e.index]
-        return _EvalInfo(v, abs(v.to_fraction()), 0)
-    if isinstance(e, Abs):
-        c = _eval_arithmetic(e.operand, x, L, K)
-        return _EvalInfo(fl_abs(c.value), c.dynsup, c.ind)
-    if isinstance(e, Div):
-        raise UnsupportedNode("division below an arithmetic node")
-    a = _eval_arithmetic(e.left, x, L, K)
-    b = _eval_arithmetic(e.right, x, L, K)
-    if isinstance(e, Add):
-        return _EvalInfo(fl_binop("+", a.value, b.value), a.dynsup + b.dynsup, 1 + max(a.ind, b.ind))
-    if isinstance(e, Sub):
-        return _EvalInfo(fl_binop("-", a.value, b.value), a.dynsup + b.dynsup, 1 + max(a.ind, b.ind))
-    if isinstance(e, Mul):
-        return _EvalInfo(fl_binop("*", a.value, b.value), a.dynsup * b.dynsup, 1 + a.ind + b.ind)
-    if isinstance(e, Min):
-        pick = a if fl_cmp(a.value, b.value) <= 0 else b
-        return _EvalInfo(pick.value, max(a.dynsup, b.dynsup), max(a.ind, b.ind))
-    if isinstance(e, Max):
-        pick = a if fl_cmp(a.value, b.value) >= 0 else b
-        return _EvalInfo(pick.value, max(a.dynsup, b.dynsup), max(a.ind, b.ind))
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-def dynamic_bound(e: Expr, x: Sequence[SoftFloat], L: int, K: int, emax: int) -> Fraction:
-    """Input-dependent error bound; never exceeds the static bound."""
-    info = _eval_arithmetic(e, x, L, K)
-    ann = annotate(e, emax, prec=L)
-    raw = info.ind * info.dynsup * Fraction(2) ** (-L)
-    return min(raw, static_bound(ann, L))
-
-
 # --- guard verdicts ---------------------------------------------------------
 
 
@@ -174,17 +140,407 @@ class RangeErrorVerdict:
 GuardVerdict = Union[SignCertified, GuardFailed, RangeErrorVerdict]
 
 
-def _coerce_inputs(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> list[SoftFloat]:
-    out = []
-    for v in x:
-        if isinstance(v, SoftFloat):
-            out.append(v)
+# --- compiled guards ------------------------------------------------------------
+#
+# A block runs on signed integer pairs (M, q) of value M * 2^q; zero is (0, 0),
+# and pairs need not be normalized, because each rounding starts from the exact
+# value.  A block's dynamic sup is the dyadic pair (D, E) of value D * 2^E, or a
+# Fraction in a block that holds a non-dyadic constant.  The source templates
+# below take only integers (node numbers, input and constant indices);
+# constants reach the code as values in the table argument C.
+
+_OP_NAMES = ("+", "-", "*")
+_OP_INDEX = {Add: 0, Sub: 1, Mul: 2}
+
+# Rounds the exact t * 2^u into F_{L,K} as (M{i}, q{i}), as softfloat's
+# _round_scaled does.  Inline when the raw exponent lies in [e_min, e_max),
+# where no range condition can hold; _edge rounds the rest and raises.
+_ROUND = """\
+    if t:
+        a = t if t > 0 else -t
+        n = a.bit_length()
+        if emin <= u + n - 1 < emx:
+            s = n - L1
+            if s > 0:
+                m = a >> s
+                r = a & ((1 << s) - 1)
+                h = 1 << (s - 1)
+                if r > h or (r == h and m & 1):
+                    m += 1
+                M{i} = m if t > 0 else -m
+                q{i} = u + s
+            else:
+                M{i} = t
+                q{i} = u
         else:
-            f = fl_round(Fraction(v), L, K, source_op="input")
-            if f.to_fraction() != Fraction(v):
-                raise ValueError(f"input {v} is not exactly representable in F_{{{L},{K}}}")
-            out.append(f)
-    return out
+            M{i}, q{i} = _edge(t, u, L, K, _OP_NAMES[{k}])
+    else:
+        M{i} = 0
+        q{i} = 0
+"""
+
+_VALUE = {
+    Input: "    M{i}, q{i} = xs[{k}]\n",
+    Add: """\
+    if q{a} <= q{b}:
+        t = M{a} + (M{b} << (q{b} - q{a}))
+        u = q{a}
+    else:
+        t = (M{a} << (q{a} - q{b})) + M{b}
+        u = q{b}
+""" + _ROUND,
+    Sub: """\
+    if q{a} <= q{b}:
+        t = M{a} - (M{b} << (q{b} - q{a}))
+        u = q{a}
+    else:
+        t = (M{a} << (q{a} - q{b})) - M{b}
+        u = q{b}
+""" + _ROUND,
+    Mul: """\
+    t = M{a} * M{b}
+    u = q{a} + q{b}
+""" + _ROUND,
+    Abs: """\
+    M{i} = M{a} if M{a} >= 0 else -M{a}
+    q{i} = q{a}
+""",
+    Min: """\
+    if (M{a} << (q{a} - q{b}) <= M{b}) if q{a} >= q{b} else (M{a} <= M{b} << (q{b} - q{a})):
+        M{i} = M{a}
+        q{i} = q{a}
+    else:
+        M{i} = M{b}
+        q{i} = q{b}
+""",
+    Max: """\
+    if (M{a} << (q{a} - q{b}) >= M{b}) if q{a} >= q{b} else (M{a} >= M{b} << (q{b} - q{a})):
+        M{i} = M{a}
+        q{i} = q{a}
+    else:
+        M{i} = M{b}
+        q{i} = q{b}
+""",
+}
+
+_CONST_ENTRY = """\
+    c = C[{k}]
+    if c is None:
+        raise RangeError("const")
+"""
+
+_DYADIC_SUP = {
+    Input: """\
+    D{i} = M{i} if M{i} >= 0 else -M{i}
+    E{i} = q{i}
+""",
+    Const: _CONST_ENTRY + "    M{i}, q{i}, D{i}, E{i} = c\n",
+    Add: """\
+    if E{a} <= E{b}:
+        D{i} = D{a} + (D{b} << (E{b} - E{a}))
+        E{i} = E{a}
+    else:
+        D{i} = (D{a} << (E{a} - E{b})) + D{b}
+        E{i} = E{b}
+""",
+    Mul: """\
+    D{i} = D{a} * D{b}
+    E{i} = E{a} + E{b}
+""",
+    Abs: """\
+    D{i} = D{a}
+    E{i} = E{a}
+""",
+    Max: """\
+    if (D{a} << (E{a} - E{b}) >= D{b}) if E{a} >= E{b} else (D{a} >= D{b} << (E{b} - E{a})):
+        D{i} = D{a}
+        E{i} = E{a}
+    else:
+        D{i} = D{b}
+        E{i} = E{b}
+""",
+}
+_DYADIC_SUP.update({Sub: _DYADIC_SUP[Add], Min: _DYADIC_SUP[Max]})
+
+# the exact rational side path, for blocks holding a non-dyadic constant
+_RATIONAL_SUP = {
+    Input: "    S{i} = _magnitude(M{i}, q{i})\n",
+    Const: _CONST_ENTRY + "    M{i}, q{i}, S{i} = c\n",
+    Add: "    S{i} = S{a} + S{b}\n",
+    Mul: "    S{i} = S{a} * S{b}\n",
+    Abs: "    S{i} = S{a}\n",
+    Max: "    S{i} = S{a} if S{a} >= S{b} else S{b}\n",
+}
+_RATIONAL_SUP.update({Sub: _RATIONAL_SUP[Add], Min: _RATIONAL_SUP[Max]})
+
+_HEAD = """\
+def block(xs, L, K, C):
+    emx = 1 << (K - 1)
+    emin = 1 - emx
+    L1 = L + 1
+"""
+# (M, q, D, E, R, ind): value M * 2^q, bound ind * D * 2^(E-L) / R
+_DYADIC_TAIL = "    return M{i}, q{i}, D{i}, E{i}, 1, C[-1]\n"
+_RATIONAL_TAIL = "    return M{i}, q{i}, S{i}.numerator, 0, S{i}.denominator, C[-1]\n"
+
+# per-block caches of constant tables (per L, K) and static bounds (per emax, L)
+# are cleared when they reach this size
+_CACHE_LIMIT = 256
+
+
+def _pair(f: SoftFloat) -> tuple[int, int]:
+    """A member of F_{L,K} as a pair; zero is (0, 0), so that it never
+    shifts the other operand of an addition."""
+    return (f.sign * f.significand, f.exponent - f.prec) if f.significand else (0, 0)
+
+
+def _edge(t: int, u: int, L: int, K: int, op: str) -> tuple[int, int]:
+    return _pair(_round_scaled(1 if t > 0 else -1, abs(t), u, L, K, op))
+
+
+def _magnitude(M: int, q: int) -> Fraction:
+    """|M| * 2^q as a Fraction."""
+    M = abs(M)
+    return Fraction(M << q) if q >= 0 else Fraction(M, 1 << -q)
+
+
+def _dyadic(v: Fraction) -> bool:
+    d = v.denominator
+    return d & (d - 1) == 0
+
+
+_POSITIVE = SignCertified(1)
+_NEGATIVE = SignCertified(-1)
+_FAILED = GuardFailed()
+
+
+class _Block:
+    """One arithmetic expression (Add/Sub/Mul/Abs/Min/Max over inputs and
+    constants) compiled into one straight-line function, one numbered step
+    per node in post-order."""
+
+    def __init__(self, node: Expr):
+        self.node = node
+        plan: list[tuple[type, tuple[int, ...]]] = []  # (node kind, child numbers)
+        self.consts: list[Fraction] = []
+        self.rational = any(
+            isinstance(n, Const) and not _dyadic(n.value) for n in node.walk()
+        )
+        sup = _RATIONAL_SUP if self.rational else _DYADIC_SUP
+        lines = [_HEAD]
+
+        def emit(n: Expr) -> int:
+            kind = type(n)
+            if kind is Div:
+                raise UnsupportedNode("division below an arithmetic node")
+            if kind not in sup:
+                raise TypeError(f"unknown node {kind.__name__}")
+            kids = tuple(emit(c) for c in n.children())
+            i = len(plan)
+            plan.append((kind, kids))
+            if kind is Input:
+                k = n.index
+            elif kind is Const:
+                k = len(self.consts)
+                self.consts.append(n.value)
+            else:
+                k = _OP_INDEX.get(kind, 0)
+            a, b = (kids + (0, 0))[:2]
+            if kind is not Const:
+                lines.append(_VALUE[kind].format(i=i, k=k, a=a, b=b))
+            lines.append(sup[kind].format(i=i, k=k, a=a, b=b))
+            return i
+
+        root = emit(node)
+        lines.append((_RATIONAL_TAIL if self.rational else _DYADIC_TAIL).format(i=root))
+        namespace = {
+            "RangeError": RangeError,
+            "_edge": _edge,
+            "_magnitude": _magnitude,
+            "_OP_NAMES": _OP_NAMES,
+        }
+        exec(compile("".join(lines), "<compiled guard block>", "exec"), namespace)
+        self._run = namespace["block"]
+        self._plan = plan
+        self._tables: dict = {}
+        self._static: dict = {}
+        # with no constants the table holds only the block's ind, for every L, K
+        self._fixed = None if self.consts else (self._ind([]),)
+
+    def _ind(self, const_inds: list[int]) -> int:
+        """ind of the block from the inds of its constants, node by node."""
+        inds: list[int] = []
+        consts = iter(const_inds)
+        for kind, kids in self._plan:
+            if kind is Input:
+                v = 0
+            elif kind is Const:
+                v = next(consts)
+            elif kind in (Add, Sub):
+                v = 1 + max(inds[kids[0]], inds[kids[1]])
+            elif kind is Mul:
+                v = 1 + inds[kids[0]] + inds[kids[1]]
+            else:  # Abs, Min, Max
+                v = max(inds[k] for k in kids)
+            inds.append(v)
+        return inds[-1]
+
+    def _table(self, L: int, K: int) -> tuple:
+        """Each constant rounded into F_{L,K} with its sup (None where the
+        rounding raises), then the block's ind."""
+        table = self._tables.get((L, K))
+        if table is not None:
+            return table
+        entries, inds = [], []
+        for c in self.consts:
+            try:
+                f = fl_round(c, L, K, source_op="const")
+            except RangeError:
+                entries.append(None)
+                inds.append(0)
+                continue
+            v = f.to_fraction()
+            pair = _pair(f)
+            s = max(abs(c), abs(v))
+            if self.rational:
+                entries.append(pair + (s,))
+            else:
+                entries.append(pair + (s.numerator, 1 - s.denominator.bit_length()))
+            inds.append(0 if v == c else 1)
+        if len(self._tables) >= _CACHE_LIMIT:
+            self._tables.clear()
+        table = self._tables[(L, K)] = (*entries, self._ind(inds))
+        return table
+
+    def _static_bound(self, emax: int, L: int) -> tuple[int, int]:
+        """static_bound of the block as (numerator, denominator)."""
+        b = self._static.get((emax, L))
+        if b is None:
+            s = static_bound(annotate(self.node, emax, prec=L), L)
+            if len(self._static) >= _CACHE_LIMIT:
+                self._static.clear()
+            b = self._static[(emax, L)] = (s.numerator, s.denominator)
+        return b
+
+    def verdict(self, xs: list, L: int, K: int, emax: int) -> "GuardVerdict":
+        try:
+            M, q, D, E, R, ind = self._run(xs, L, K, self._fixed or self._table(L, K))
+        except RangeError as exc:
+            return RangeErrorVerdict(exc.source_op)
+        if not M:
+            return _FAILED
+        # certified iff |v| > min(dynamic, static), that is |v| beats either
+        a = M if M > 0 else -M
+        s = q - E + L
+        if (a * R << s > ind * D) if s >= 0 else (a * R > ind * D << -s):
+            return _POSITIVE if M > 0 else _NEGATIVE
+        num, den = self._static_bound(emax, L)
+        if (a * den << q > num) if q >= 0 else (a * den > num << -q):
+            return _POSITIVE if M > 0 else _NEGATIVE
+        return _FAILED
+
+    def evaluate(self, xs: list, L: int, K: int) -> tuple[Fraction, Fraction]:
+        M, q, D, E, R, ind = self._run(xs, L, K, self._fixed or self._table(L, K))
+        value = _magnitude(M, q) if M >= 0 else -_magnitude(M, q)
+        return value, _magnitude(ind * D, E - L) / R
+
+
+# --- guards over whole expressions -----------------------------------------------
+
+
+def _input_pair(v: Union[SoftFloat, Exact], L: int, K: int) -> tuple[int, int]:
+    """An input as a pair (M, q) of value M * 2^q; it must lie in F_{L,K}."""
+    if isinstance(v, SoftFloat):
+        v = v.to_fraction()  # a member of another F_{L',K'}: taken by value
+    f = fl_round(Fraction(v), L, K, source_op="input")
+    if f.to_fraction() != v:
+        raise ValueError(f"input {v} is not exactly representable in F_{{{L},{K}}}")
+    return _pair(f)
+
+
+def _input_pairs(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> list[tuple[int, int]]:
+    """The inputs as pairs; members of F_{L,K} as SoftFloats take the fast path."""
+    if L < 1 or K < 2:
+        raise ValueError("need L >= 1 and K >= 2")
+    return [
+        _pair(v) if v.__class__ is SoftFloat and v.prec == L and v.expbits == K else _input_pair(v, L, K)
+        for v in x
+    ]
+
+
+class CompiledGuard:
+    """The guard of one expression, built once.
+
+    Each maximal arithmetic block (the subtrees below every Min/Max/Abs/Div
+    that sits above all arithmetic) becomes one straight-line integer
+    function; Min/Max/Abs/Div above the blocks combine the children's
+    verdicts.  Calling the guard with inputs (SoftFloat members of F_{L,K}
+    or exact values in it), L, K and emax gives guarded_eval's verdict.
+    """
+
+    def __init__(self, e: Expr):
+        self.expr = e
+        self._whole: Optional[_Block] = None  # e as one block, for evaluate()
+        self._verdict = self._compile(e)
+
+    def _compile(self, n: Expr):
+        if isinstance(n, (Min, Max, Div)):
+            left, right = self._compile(n.left), self._compile(n.right)
+            if isinstance(n, Div):
+                combine = operator.mul
+            else:
+                combine = min if isinstance(n, Min) else max
+
+            def composite(xs, L, K, emax):
+                a = left(xs, L, K, emax)
+                if isinstance(a, RangeErrorVerdict):
+                    return a
+                b = right(xs, L, K, emax)
+                if isinstance(b, RangeErrorVerdict):
+                    return b
+                if isinstance(a, SignCertified) and isinstance(b, SignCertified):
+                    return _POSITIVE if combine(a.sign, b.sign) > 0 else _NEGATIVE
+                return _FAILED
+
+            return composite
+        if isinstance(n, Abs):
+            inner = self._compile(n.operand)
+
+            def absolute(xs, L, K, emax):
+                v = inner(xs, L, K, emax)
+                return _POSITIVE if isinstance(v, SignCertified) else v
+
+            return absolute
+        block = _Block(n)
+        if n is self.expr:
+            self._whole = block
+        return block.verdict
+
+    def __call__(self, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> GuardVerdict:
+        return self._verdict(_input_pairs(x, L, K), L, K, emax)
+
+    def evaluate(self, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> tuple[Fraction, Fraction]:
+        """(fl(e), ind * dynsup * 2^-L) with the whole expression evaluated as
+        one arithmetic block in F_{L,K}; RangeError propagates."""
+        if self._whole is None:
+            self._whole = _Block(self.expr)
+        return self._whole.evaluate(_input_pairs(x, L, K), L, K)
+
+
+def compile_guard(e: Expr) -> CompiledGuard:
+    """Compile the guard of e; raises UnsupportedNode for a division below
+    an arithmetic node."""
+    return CompiledGuard(e)
+
+
+def _guard_of(e: Expr) -> CompiledGuard:
+    """The compiled guard memoized on the expression instance: an attribute
+    costs far less than hashing the tree for a cache lookup."""
+    g = getattr(e, "_guard", None)
+    if g is None:
+        g = compile_guard(e)
+        object.__setattr__(e, "_guard", g)
+    return g
 
 
 def guarded_eval(e: Expr, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> GuardVerdict:
@@ -193,52 +549,15 @@ def guarded_eval(e: Expr, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, 
     The certified sign always equals the exact rational sign; exact zeros can
     never be certified.  Overflow, inexact underflow and division by zero all
     surface as RangeErrorVerdict, the signal on which the perturbation loop
-    grows K.
+    grows K.  Inputs are SoftFloats or exact values, and must lie in F_{L,K}.
     """
-    xs = _coerce_inputs(x, L, K)
+    return _guard_of(e)(x, L, K, emax)
 
-    def guard(node: Expr) -> GuardVerdict:
-        if isinstance(node, (Min, Max)):
-            a = guard(node.left)
-            if isinstance(a, RangeErrorVerdict):
-                return a
-            b = guard(node.right)
-            if isinstance(b, RangeErrorVerdict):
-                return b
-            if isinstance(a, SignCertified) and isinstance(b, SignCertified):
-                s = min(a.sign, b.sign) if isinstance(node, Min) else max(a.sign, b.sign)
-                return SignCertified(s)
-            return GuardFailed()
-        if isinstance(node, Abs):
-            inner = guard(node.operand)
-            if isinstance(inner, SignCertified):
-                return SignCertified(1)
-            return inner
-        if isinstance(node, Div):
-            num = guard(node.left)
-            if isinstance(num, RangeErrorVerdict):
-                return num
-            den = guard(node.right)
-            if isinstance(den, RangeErrorVerdict):
-                return den
-            if isinstance(num, SignCertified) and isinstance(den, SignCertified):
-                return SignCertified(num.sign * den.sign)
-            return GuardFailed()
-        # maximal arithmetic block
-        try:
-            info = _eval_arithmetic(node, xs, L, K)
-        except DivisionByZero:
-            return RangeErrorVerdict("/")
-        except RangeError as exc:
-            return RangeErrorVerdict(exc.source_op)
-        ann = annotate(node, emax, prec=L)
-        bound = min(info.ind * info.dynsup * Fraction(2) ** (-L), static_bound(ann, L))
-        v = info.value.to_fraction()
-        if abs(v) > bound:
-            return SignCertified(1 if v > 0 else -1)
-        return GuardFailed()
 
-    return guard(e)
+def dynamic_bound(e: Expr, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> Fraction:
+    """Input-dependent error bound; never exceeds the static bound."""
+    _, raw = _guard_of(e).evaluate(x, L, K)
+    return min(raw, static_bound(annotate(e, emax, prec=L), L))
 
 
 # --- closed-form fp-safety bounds -------------------------------------------

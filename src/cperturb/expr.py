@@ -2,7 +2,8 @@
 
 Nodes: rational constants, input slots, +, -, *, /, |.|, min, max.  The same
 tree drives the exact rational oracle (exact.rat_eval) and the guarded
-softfloat evaluation (errorbounds.guarded_eval).
+evaluation, which errorbounds.compile_guard compiles from it once into
+integer code and errorbounds.guarded_eval runs.
 
 Serialization is a parenthesized prefix format, e.g.
 ``(sub (mul x0 x3) (mul x1 x2))`` with rational constants written ``p/q``.

@@ -276,6 +276,10 @@ class EvalCounter:
     evaluations: int = 0
 
 
+# built once: guarded_eval memoizes the compiled guard on this instance
+_ORIENTATION2D = orientation2d_expr()
+
+
 def guarded_orientation(
     a: tuple[SoftFloat, SoftFloat],
     b: tuple[SoftFloat, SoftFloat],
@@ -287,7 +291,7 @@ def guarded_orientation(
 ):
     if counter is not None:
         counter.evaluations += 1
-    return guarded_eval(orientation2d_expr(), (*a, *b, *c), L, K, emax)
+    return guarded_eval(_ORIENTATION2D, (*a, *b, *c), L, K, emax)
 
 
 def guarded_convex_hull(

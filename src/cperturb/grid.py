@@ -102,12 +102,35 @@ class GridSpec:
     def index_range(self, a: Exact, b: Exact) -> tuple[int, int]:
         """Integers lo..hi (inclusive) with lo*tau >= a, hi*tau <= b, clipped
         to [-2^emax, 2^emax]."""
-        tau = self.tau
-        a = max(Fraction(a), -(Fraction(2) ** self.emax))
-        b = min(Fraction(b), Fraction(2) ** self.emax)
-        lo = -((-Fraction(a) / tau).__floor__())  # ceil(a / tau)
-        hi = (Fraction(b) / tau).__floor__()
-        return lo, hi
+        a, b = Fraction(a), Fraction(b)
+        return self._indices(a.numerator, a.denominator, b.numerator, b.denominator)
+
+    def index_range_about(self, c: Exact, r: Exact) -> tuple[int, int]:
+        """index_range(c - r, c + r), on integers only."""
+        if not isinstance(c, (int, Fraction)) or not isinstance(r, (int, Fraction)):
+            c, r = Fraction(c), Fraction(r)
+        cn, cd, rn, rd = c.numerator, c.denominator, r.numerator, r.denominator
+        den = cd * rd
+        return self._indices(cn * rd - rn * cd, den, cn * rd + rn * cd, den)
+
+    def _indices(self, an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+        """index_range(an/ad, bn/bd) for positive ad, bd."""
+        t = self.L + 1 - self.emax  # 1/tau = 2^t, and 2^emax/tau = 2^(L+1)
+        if t >= 0:
+            lo, hi = -((-an << t) // ad), (bn << t) // bd
+        else:
+            lo, hi = -(-an // (ad << -t)), bn // (bd << -t)
+        edge = 1 << (self.L + 1)
+        return max(lo, -edge), min(hi, edge)
+
+
+def grid_float(lam: int, spec: GridSpec) -> SoftFloat:
+    """The grid point lam * tau as a member of F_{L,K}, built from its index."""
+    if lam == 0:
+        return zero(spec.L, spec.K)
+    return _round_scaled(
+        1 if lam > 0 else -1, abs(lam), spec.emax - spec.L - 1, spec.L, spec.K, "grid"
+    )
 
 
 def enumerate_grid(a: Exact, b: Exact, spec: GridSpec) -> list[Fraction]:
@@ -183,20 +206,9 @@ class GridSampler:
             if hi < lo:
                 raise EmptyGrid(f"no grid point in coordinate {i} interval [{a}, {b}]")
             self.ranges.append((lo, hi - lo + 1))
-        self.q = spec.emax - spec.L - 1  # grid values are lambda * 2^q
 
     def draw_floats(self) -> tuple[SoftFloat, ...]:
-        out = []
-        for lo, span in self.ranges:
-            lam = lo + self.rng.uniform_int(span)
-            if lam == 0:
-                out.append(zero(self.spec.L, self.spec.K))
-            else:
-                sign = 1 if lam > 0 else -1
-                out.append(
-                    _round_scaled(sign, abs(lam), self.q, self.spec.L, self.spec.K, "grid")
-                )
-        return tuple(out)
+        return tuple(grid_float(lo + self.rng.uniform_int(span), self.spec) for lo, span in self.ranges)
 
 
 @dataclass(frozen=True)

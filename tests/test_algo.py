@@ -148,6 +148,22 @@ class TestRunAcp:
         assert stats.L_sequence == sorted(stats.L_sequence)
         assert stats.K_sequence == sorted(stats.K_sequence)
 
+    def test_K_sequence_is_the_K_used(self):
+        # near 2^200 the grid needs K = 9 > K0 = 8 before any evaluation
+        flat = [F(c) * 2**200 for c in (0, 0, 3, 0, 0, 3, 2, 2, 1, 1)]
+        emax = compute_emax(flat, [F(1, 2)] * len(flat))
+        used = []
+
+        def algo(y, L, K):
+            used.append(K)
+            pts = [(y[i], y[i + 1]) for i in range(0, len(y), 2)]
+            return guarded_convex_hull(pts, L, K, emax)
+
+        _, _, stats = run_acp(algo, flat, PerturbationShape("box", F(1, 2)), seed=3)
+        assert stats.rounds == len(used) >= 2  # a range-error round, then success
+        assert stats.K_sequence == used
+        assert used[0] == 9 and stats.final_K == used[-1]
+
 
 class TestRunBasic:
     def test_single_round(self):

@@ -137,11 +137,31 @@ class TestHull(object):
         assert d["eta"] == 2
 
     def test_iteration_cap_exit_code(self, tmp_path, capsys):
-        # two points can never produce a hull: the guard fails in every round
-        path = self.write_points(tmp_path, ["0,0", "1,1"])
+        # at L = 24 the grid unit near 2^30 is 64, so no grid point lies within
+        # 1/4 of 2^30 + 4: the only round fails
+        rows = ["1073741824,1073741824", "1073741828,1073741824", "1073741824,1073741828"]
+        path = self.write_points(tmp_path, rows)
         code = main(["hull", "--input", path, "--delta", "1/4", "--seed", "1",
-                     "--max-rounds", "2"])
+                     "--max-rounds", "1"])
         assert code == 3
+
+    @pytest.mark.parametrize("extra", [[], ["--basic"]])
+    def test_two_points_refused_promptly(self, tmp_path, extra):
+        # no perturbation of two points has a hull: refused before the loop,
+        # which would otherwise double L for the default 64 rounds
+        path = self.write_points(tmp_path, ["0,0", "0,0"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "cperturb.cli", "hull", "--input", path, *extra],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "inadmissible input" in proc.stderr
+
+    def test_three_repeated_points_accepted(self, tmp_path, capsys):
+        path = self.write_points(tmp_path, ["1,1", "1,1", "1,1"])
+        assert main(["hull", "--input", path, "--delta", "1/4", "--seed", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["hull"]) == 3
 
     def test_basic_variant(self, tmp_path, capsys):
         path = self.write_points(tmp_path, ["0,0", "4,0", "4,4", "0,4"])

@@ -9,6 +9,7 @@ from cperturb.errorbounds import (
     SignCertified,
     UnsupportedNode,
     annotate,
+    compile_guard,
     dynamic_bound,
     guarded_eval,
     safety_lower_multivariate,
@@ -16,7 +17,6 @@ from cperturb.errorbounds import (
     safety_upper,
     static_bound,
     value_quantum,
-    _eval_arithmetic,
 )
 from cperturb.exact import ExactPole, rat_eval, rat_sign
 from cperturb.expr import Abs, Add, Const, Div, Input, Max, Min, Mul, Sub, parse
@@ -100,13 +100,14 @@ class TestDynamicBound:
         box = PerturbationBox((0, 0, 0, 0), (1, 1, 1, 1))
         sm = SplitMix64(31337)
         ann = annotate(e, 1, prec=10)
+        guard = compile_guard(e)
         for _ in range(10_000):
             vals = sample_grid_values(box, spec, sm)
             xs = [fl_round(v, 10, 8) for v in vals]
             dyn = dynamic_bound(e, xs, 10, 8, emax=1)
             assert dyn <= static_bound(ann, 10)
             exact = rat_eval(e, vals)
-            approx = _eval_arithmetic(e, xs, 10, 8).value.to_fraction()
+            approx, _ = guard.evaluate(xs, 10, 8)
             assert abs(approx - exact) <= dyn
 
 

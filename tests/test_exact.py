@@ -4,7 +4,7 @@ import pytest
 
 from cperturb.exact import ExactPole, rat_eval, rat_sign
 from cperturb.expr import Const, Div, Input, Mul, Sub, parse, serialize
-from cperturb.errorbounds import annotate, static_bound, _eval_arithmetic
+from cperturb.errorbounds import annotate, compile_guard, static_bound
 from cperturb.geom import inbox_expr, incircle_expr, orientation2d_expr
 from cperturb.softfloat import fl_round
 
@@ -48,10 +48,11 @@ class TestConvergence:
         xs = [F(5, 8), F(-3, 4), F(7, 8)]
         exact = rat_eval(e, xs)
         prev_err = None
+        guard = compile_guard(e)
         for L in (16, 32, 64, 128):
             inputs = [fl_round(x, L, 10) for x in xs]
-            info = _eval_arithmetic(e, inputs, L, 10)
-            err = abs(info.value.to_fraction() - exact)
+            value, _ = guard.evaluate(inputs, L, 10)
+            err = abs(value - exact)
             bound = static_bound(annotate(e, 1, prec=L), L)
             assert err <= bound
             if prev_err is not None:
