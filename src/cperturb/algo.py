@@ -162,7 +162,7 @@ class CpRunStats:
 
 
 def _sample_shape_input(
-    ybar: Sequence[Fraction],
+    ybar: Sequence[tuple[int, int]],
     shape: PerturbationShape,
     delta: Fraction,
     spec: GridSpec,
@@ -171,6 +171,7 @@ def _sample_shape_input(
     """One uniform grid point of the full perturbation area; None when a
     rejection pass found no in-shape grid point after many tries.
 
+    ``ybar`` holds the centre coordinates as (numerator, denominator) pairs.
     Works on integer grid indices.  The draws follow the order of the
     coordinate loop, and an empty index range returns None only when the loop
     reaches its coordinate, so seeded streams repeat exactly.
@@ -178,7 +179,9 @@ def _sample_shape_input(
     cpo = shape.coords_per_object
     if len(ybar) % cpo:
         raise ValueError("input length does not match the shape's grouping")
-    ranges = [(lo, hi - lo + 1) for lo, hi in (spec.index_range_about(c, delta) for c in ybar)]
+    dn, dd = delta.numerator, delta.denominator
+    about = spec.index_range_about
+    ranges = [(lo, hi - lo + 1) for lo, hi in (about(cn, cd, dn, dd) for cn, cd in ybar)]
     t = spec.L + 1 - spec.emax  # tau = 2^-t
     out: list[SoftFloat] = []
     for base in range(0, len(ybar), cpo):
@@ -186,10 +189,10 @@ def _sample_shape_input(
         if shape.kind != "box":
             # the disc/ball test on integers: every length times S
             centers = ybar[base : base + cpo]
-            S = lcm(delta.denominator, *(c.denominator for c in centers)) << max(t, 0)
+            S = lcm(dd, *(cd for _, cd in centers)) << max(t, 0)
             unit = S >> t if t >= 0 else S << -t  # S * tau
-            scaled = [c.numerator * (S // c.denominator) for c in centers]
-            radius2 = (delta.numerator * (S // delta.denominator)) ** 2
+            scaled = [cn * (S // cd) for cn, cd in centers]
+            radius2 = (dn * (S // dd)) ** 2
         for _ in range(4096):
             lams = []
             for lo, span in group:
@@ -299,9 +302,10 @@ def run_acp_delta_variant(
 def _acp_loop(
     guarded, ybar, shape, seed, L0, K0, max_rounds, eta_runs, grow, delta_schedule
 ):
-    ybar = [Fraction(c) for c in ybar]
+    ybar = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in ybar]
     delta_max = delta_schedule[-1] if delta_schedule else shape.delta
     emax = compute_emax(ybar, [delta_max] * len(ybar))
+    centers = [(c.numerator, c.denominator) for c in ybar]  # read once per run
     rng = SplitMix64(seed)
     stats = CpRunStats(seed=seed)
     L, K = L0, K0
@@ -320,7 +324,7 @@ def _acp_loop(
             delta = delta_schedule[attempt] if delta_schedule else shape.delta
             if delta_schedule:
                 stats.delta_sequence.append(delta)
-            y = _sample_shape_input(ybar, shape, delta, spec, rng)
+            y = _sample_shape_input(centers, shape, delta, spec, rng)
             if y is None:
                 round_kind = "guard_failure"  # grid too coarse: more bits help
                 continue

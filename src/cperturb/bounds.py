@@ -714,12 +714,6 @@ def _split_blocks(j: int, l: int, k: int):
         raise IndexSplitInvalid(f"need 0 <= j <= l <= k, got {(j, l, k)}")
 
 
-def _gamma_slice(fn: Optional[GammaFn], sl: slice) -> Optional[GammaFn]:
-    if fn is None:
-        return None
-    return lambda g: fn(tuple(g)[sl])
-
-
 def rule_product(
     g: BoundSet,
     h: BoundSet,

@@ -22,19 +22,16 @@ from .algo import (
     PerturbationShape,
     distributed_probability,
     eta as shape_eta,
-    rho,
     run_acp,
     run_basic_acp,
 )
 from .bounds import NotAnalyzable, PredicateDescription, bounds_multivariate, choose_beta
-from .errorbounds import RangeErrorVerdict, SignCertified
-from .exact import ExactPole
+from .errorbounds import SignCertified
 from .expr import Mul, Input
 from .geom import (
     EvalCounter,
     PredicateInstance,
     canonical_cycle,
-    exact_convex_hull,
     guarded_convex_hull,
     make_inbox,
     make_incircle,
@@ -44,7 +41,7 @@ from .geom import (
 from .grid import GridSpec, PerturbationBox, SplitMix64, count_grid, sample_grid_values
 from .qr import BudgetTooLarge, probability, quantified_relations
 from .reals import is_power_of_two
-from .softfloat import count_floats, float_set_size, fl_round
+from .softfloat import count_floats, float_set_size
 
 
 class RefuseEnumeration(ValueError):

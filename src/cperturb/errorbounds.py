@@ -50,6 +50,7 @@ from .softfloat import (
     _round_scaled,
     fl_round,
     is_representable,
+    to_pair,
 )
 
 # softfloat operations benchmarks/tracing.py wraps under this module's names
@@ -288,14 +289,8 @@ _RATIONAL_TAIL = "    return M{i}, q{i}, S{i}.numerator, 0, S{i}.denominator, C[
 _CACHE_LIMIT = 256
 
 
-def _pair(f: SoftFloat) -> tuple[int, int]:
-    """A member of F_{L,K} as a pair; zero is (0, 0), so that it never
-    shifts the other operand of an addition."""
-    return (f.sign * f.significand, f.exponent - f.prec) if f.significand else (0, 0)
-
-
 def _edge(t: int, u: int, L: int, K: int, op: str) -> tuple[int, int]:
-    return _pair(_round_scaled(1 if t > 0 else -1, abs(t), u, L, K, op))
+    return to_pair(_round_scaled(1 if t > 0 else -1, abs(t), u, L, K, op))
 
 
 def _magnitude(M: int, q: int) -> Fraction:
@@ -400,7 +395,7 @@ class _Block:
                 inds.append(0)
                 continue
             v = f.to_fraction()
-            pair = _pair(f)
+            pair = to_pair(f)
             s = max(abs(c), abs(v))
             if self.rational:
                 entries.append(pair + (s,))
@@ -455,7 +450,7 @@ def _input_pair(v: Union[SoftFloat, Exact], L: int, K: int) -> tuple[int, int]:
     f = fl_round(Fraction(v), L, K, source_op="input")
     if f.to_fraction() != v:
         raise ValueError(f"input {v} is not exactly representable in F_{{{L},{K}}}")
-    return _pair(f)
+    return to_pair(f)
 
 
 def _input_pairs(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> list[tuple[int, int]]:
@@ -463,7 +458,7 @@ def _input_pairs(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> list[t
     if L < 1 or K < 2:
         raise ValueError("need L >= 1 and K >= 2")
     return [
-        _pair(v) if v.__class__ is SoftFloat and v.prec == L and v.expbits == K else _input_pair(v, L, K)
+        to_pair(v) if v.__class__ is SoftFloat and v.prec == L and v.expbits == K else _input_pair(v, L, K)
         for v in x
     ]
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
 from .bounds import (
@@ -25,12 +26,11 @@ from .bounds import (
     bounds_multivariate,
     bounds_univariate,
     choose_beta,
-    multivariate_sinf_coeff,
 )
-from .errorbounds import GuardFailed, RangeErrorVerdict, SignCertified, guarded_eval
+from .errorbounds import GuardFailed, RangeErrorVerdict, guarded_eval
 from .exact import rat_sign
 from .expr import Div, Expr, Input, Max, Mul, Sub, expand_polynomial
-from .softfloat import SoftFloat
+from .softfloat import SoftFloat, to_pair
 
 Exact = Union[int, Fraction]
 
@@ -294,6 +294,26 @@ def guarded_orientation(
     return guarded_eval(_ORIENTATION2D, (*a, *b, *c), L, K, emax)
 
 
+def _xy_order(points: Sequence[tuple[SoftFloat, SoftFloat]]) -> list[int]:
+    """Indices of the distinct points in xy-order; of coincident points the
+    first index is kept.
+
+    The keys are integers built once per call: every coordinate's pair
+    (M, q) of value M * 2^q, shifted to the smallest q among the nonzero
+    coordinates.  They have exactly the order and the ties of the values,
+    for any SoftFloats.
+    """
+    pairs = [to_pair(c) for pt in points for c in pt]
+    q0 = min((q for M, q in pairs if M), default=0)
+    scaled = [M << (q - q0) if M else 0 for M, q in pairs]
+    keys = list(zip(scaled[0::2], scaled[1::2]))
+    order: list[int] = []
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if not order or keys[i] != keys[order[-1]]:
+            order.append(i)
+    return order
+
+
 def guarded_convex_hull(
     points: Sequence[tuple[SoftFloat, SoftFloat]],
     L: int,
@@ -305,23 +325,12 @@ def guarded_convex_hull(
 
     Returns ('success', indices) with the CCW hull (first vertex = smallest
     point in xy-order), or the failure kind of the first unguarded test.
-    Exactly coincident input points are merged by exact comparison, which
-    involves no rounding and needs no guard.
+    Exactly coincident input points are merged by exact comparison on the
+    integer keys of _xy_order, which involves no rounding and needs no guard.
     """
-    n = len(points)
-    if n < 3:
+    if len(points) < 3:
         return ("guard_failure", None)
-    keyed = sorted(
-        range(n), key=lambda i: (points[i][0].to_fraction(), points[i][1].to_fraction())
-    )
-    dedup: list[int] = []
-    for i in keyed:
-        if dedup and (
-            points[i][0].to_fraction() == points[dedup[-1]][0].to_fraction()
-            and points[i][1].to_fraction() == points[dedup[-1]][1].to_fraction()
-        ):
-            continue
-        dedup.append(i)
+    dedup = _xy_order(points)
     if len(dedup) < 3:
         return ("guard_failure", None)
 
@@ -353,10 +362,18 @@ def guarded_convex_hull(
 
 
 def exact_convex_hull(points: Sequence[tuple[Exact, Exact]]) -> list[int]:
-    """Rational-arithmetic monotone chain: the oracle the guarded hull must match."""
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    """Exact monotone chain: the oracle the guarded hull must match.
+
+    Every coordinate is scaled to the common denominator of all of them, so
+    the sort, the merging of coincident points and the cross products run
+    on integers.
+    """
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for pt in points for v in pt]
+    den = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    pts = list(zip(ints[0::2], ints[1::2]))
     n = len(pts)
-    keyed = sorted(range(n), key=lambda i: pts[i])
+    keyed = sorted(range(n), key=pts.__getitem__)
     dedup: list[int] = []
     for i in keyed:
         if dedup and pts[i] == pts[dedup[-1]]:
@@ -366,9 +383,8 @@ def exact_convex_hull(points: Sequence[tuple[Exact, Exact]]) -> list[int]:
         raise ValueError("hull oracle needs three distinct points")
 
     def cross(o, a, b):
-        return (pts[a][0] - pts[o][0]) * (pts[b][1] - pts[o][1]) - (
-            pts[a][1] - pts[o][1]
-        ) * (pts[b][0] - pts[o][0])
+        (ox, oy), (ax, ay), (bx, by) = pts[o], pts[a], pts[b]
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
     def build(seq):
         chain: list[int] = []

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .reals import ceil_log2, floor_log2
 from .softfloat import SoftFloat, _round_scaled, fl_round, is_representable, zero
 
 Exact = Fraction
@@ -70,11 +69,25 @@ class SplitMix64:
 
 
 def compute_emax(centers: Sequence[Exact], deltas: Sequence[Exact]) -> int:
-    """Least integer e' >= 0 with |y_i| + delta_i <= 2^e' for all i."""
-    bound = max(abs(Fraction(c)) + Fraction(d) for c, d in zip(centers, deltas))
-    if bound <= 0:
-        return 0
-    return max(0, ceil_log2(bound))
+    """Least integer e' >= 0 with |y_i| + delta_i <= 2^e' for all i.
+
+    Works on numerators and denominators only.  With |y_i| + delta_i = a/b,
+    ceil(log2(a/b)) is n = a.bit_length() - b.bit_length() or n + 1, and
+    one shift-compare decides which; int and Fraction inputs agree.
+    """
+    if not centers:
+        raise ValueError("need at least one coordinate")
+    emax = 0
+    for c, d in zip(centers, deltas):
+        if not isinstance(c, (int, Fraction)) or not isinstance(d, (int, Fraction)):
+            c, d = Fraction(c), Fraction(d)
+        cd, dd = c.denominator, d.denominator
+        a, b = abs(c.numerator) * dd + d.numerator * cd, cd * dd
+        if a <= b << emax:  # already covered; also skips a <= 0
+            continue
+        n = a.bit_length() - b.bit_length()
+        emax = n if (a <= b << n if n >= 0 else a << -n <= b) else n + 1
+    return emax
 
 
 def grid_unit(emax: int, L: int) -> Fraction:
@@ -105,11 +118,9 @@ class GridSpec:
         a, b = Fraction(a), Fraction(b)
         return self._indices(a.numerator, a.denominator, b.numerator, b.denominator)
 
-    def index_range_about(self, c: Exact, r: Exact) -> tuple[int, int]:
-        """index_range(c - r, c + r), on integers only."""
-        if not isinstance(c, (int, Fraction)) or not isinstance(r, (int, Fraction)):
-            c, r = Fraction(c), Fraction(r)
-        cn, cd, rn, rd = c.numerator, c.denominator, r.numerator, r.denominator
+    def index_range_about(self, cn: int, cd: int, rn: int, rd: int) -> tuple[int, int]:
+        """index_range(c - r, c + r) for c = cn/cd and r = rn/rd with positive
+        cd, rd, taking and computing integers only."""
         den = cd * rd
         return self._indices(cn * rd - rn * cd, den, cn * rd + rn * cd, den)
 

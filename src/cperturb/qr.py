@@ -31,10 +31,8 @@ from .bounds import (
     ConstLine,
     NotAnalyzable,
     PredicateDescription,
-    Sym,
 )
 from .errorbounds import UnsupportedNode, value_quantum
-from .expr import Div, Expr
 from .reals import (
     PrecisionExhausted,
     RVal,

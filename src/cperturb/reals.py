@@ -195,16 +195,6 @@ def pi_enclosure(bits: int) -> RVal:
     return RVal(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239)
 
 
-def floor_log2_rval(v: RVal) -> int:
-    """floor(log2 v) when the enclosure decides it, else PrecisionExhausted."""
-    if v.lo <= 0:
-        raise ValueError("needs a positive enclosure")
-    flo, fhi = floor_log2(v.lo), floor_log2(v.hi)
-    if flo == fhi:
-        return flo
-    raise PrecisionExhausted(f"floor log2 ambiguous on [{v.lo}, {v.hi}]")
-
-
 def ceil_log2_rval(v: RVal) -> int:
     if v.lo <= 0:
         raise ValueError("needs a positive enclosure")

@@ -161,6 +161,13 @@ def to_rational(a: SoftFloat) -> Fraction:
     return a.to_fraction()
 
 
+def to_pair(a: SoftFloat) -> tuple[int, int]:
+    """The value as an integer pair (M, q) with a = M * 2^q: M is the signed
+    significand and q = exponent - L.  Zero is (0, 0), so that it never
+    shifts the other operand of an addition."""
+    return (a.sign * a.significand, a.exponent - a.prec) if a.significand else (0, 0)
+
+
 def is_representable(x: Exact, L: int, K: int) -> bool:
     """True when x is exactly a member of F_{L,K}."""
     x = Fraction(x)
@@ -255,14 +262,6 @@ def fl_cmp(a: SoftFloat, b: SoftFloat) -> int:
     """Exact comparison; rounding plays no role."""
     av, bv = a.to_fraction(), b.to_fraction()
     return (av > bv) - (av < bv)
-
-
-def fl_min(a: SoftFloat, b: SoftFloat) -> SoftFloat:
-    return a if fl_cmp(a, b) <= 0 else b
-
-
-def fl_max(a: SoftFloat, b: SoftFloat) -> SoftFloat:
-    return a if fl_cmp(a, b) >= 0 else b
 
 
 def enumerate_floats(lo: Exact, hi: Exact, L: int, K: int) -> Iterator[Fraction]:
