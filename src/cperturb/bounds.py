@@ -17,7 +17,6 @@ where the inputs are rational and tight rational enclosures otherwise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -37,7 +36,7 @@ class GammaTooLarge(ValueError):
 
 
 class ArityTooLarge(ValueError):
-    """select_beta's k! brute force is capped at k = 8."""
+    """select_beta is capped at k = 8 variables."""
 
 
 class IndexSplitInvalid(ValueError):
@@ -335,7 +334,6 @@ class BoundSet:
     nu_gamma: Optional[GammaFn] = None
     chi_gamma: Optional[GammaFn] = None
     phi_inf_gamma: Optional[GammaFn] = None
-    phi_sup_gamma: Optional[GammaFn] = None
     meta: dict = field(default_factory=dict)
 
     def s_inf(self, L: int) -> Fraction:
@@ -380,25 +378,37 @@ def _rlex_key(t: tuple[int, ...]) -> tuple[int, ...]:
 def select_beta(index_set, k: int) -> set[tuple[int, ...]]:
     """All tuples that are the reverse-lex maximum under some permutation.
 
-    Brute force over the k! permutations; k is capped at 8 (geometric
-    predicates in scope stay at k <= 6).
+    A permutation ranks the variables, and its maximum is what is left after
+    keeping the tuples maximal in the top-ranked variable, then the next,
+    and so on.  The search walks the rankings, memoized on (survivors,
+    unranked variables), and stops at one survivor; k is capped at 8.
     """
     if k > 8:
-        raise ArityTooLarge("select_beta brute force is capped at k = 8")
-    tuples = {tuple(t) for t in index_set}
+        raise ArityTooLarge(f"select_beta is capped at k = 8, got k = {k}")
+    tuples = frozenset(tuple(t) for t in index_set)
     if not tuples:
         raise ValueError("empty exponent set")
-    out = set()
-    for sigma in itertools.permutations(range(k)):
-        # sigma maps position i to sigma[i]; permuted tuple has alpha_{sigma^{-1}(i)}
-        def permuted(t):
-            p = [0] * k
-            for i, pos in enumerate(sigma):
-                p[pos] = t[i]
-            return tuple(p)
+    if any(len(t) != k for t in tuples):
+        raise ValueError(f"every exponent tuple needs {k} entries")
+    memo: dict = {}
 
-        out.add(max(tuples, key=lambda t: _rlex_key(permuted(t))))
-    return out
+    def search(survivors: frozenset, free: frozenset) -> frozenset:
+        if len(survivors) == 1 or not free:
+            return survivors
+        key = (survivors, free)
+        if key not in memo:
+            out = set()
+            for v in free:
+                top = max(t[v] for t in survivors)
+                kept = frozenset(t for t in survivors if t[v] == top)
+                # a variable all survivors tie in filters nothing here or
+                # later, so ranking it first adds no new outcome
+                if len(kept) < len(survivors):
+                    out |= search(kept, free - {v})
+            memo[key] = frozenset(out)
+        return memo[key]
+
+    return set(search(tuples, frozenset(range(k))))
 
 
 def choose_beta(index_set, k: int) -> tuple[int, ...]:
@@ -441,7 +451,6 @@ def bounds_univariate(coeffs: Sequence[Exact], desc: PredicateDescription) -> tu
         mu_u=desc.mu_u,
         nu_gamma=lambda g: 2 * d * Fraction(g[0]),
         phi_inf_gamma=lambda g: abs(coeffs[d]) * Fraction(g[0]) ** d,
-        phi_sup_gamma=lambda g: phi_sup_val,
         meta={"d": d, "coeffs": coeffs},
     )
     return desc, bs
@@ -511,7 +520,6 @@ def bounds_multivariate(
         mu_u=desc.mu_u,
         chi_gamma=chi_gamma,
         phi_inf_gamma=phi_gamma,
-        phi_sup_gamma=lambda g: phi_sup_val,
         meta={
             "beta": beta,
             "beta_star": beta_star,
@@ -564,7 +572,6 @@ def bounds_inbox_direct(
         mu_u=desc.mu_u,
         nu_gamma=nu_gamma,
         phi_inf_gamma=phi_gamma,
-        phi_sup_gamma=lambda g: Fraction(2) ** (2 * desc.emax + 2),
         meta={"width": (wx, wy)},
     )
     return desc, bs
@@ -613,7 +620,6 @@ def bounds_incircle_direct(
         mu_u=desc.mu_u,
         nu_gamma=nu_gamma,
         phi_inf_gamma=phi_gamma,
-        phi_sup_gamma=lambda g: phi_sup_val,
         meta={"radius": r},
     )
     return desc, bs
@@ -678,7 +684,6 @@ def bounds_inbox_topdown(
         mu_u=desc.mu_u,
         chi_gamma=chi_gamma,
         phi_inf_gamma=phi_gamma,
-        phi_sup_gamma=lambda g: phi_sup_val,
         meta={"half_lengths": ls},
     )
     return desc, bs
@@ -694,16 +699,12 @@ def rule_sandwich(g: BoundSet, c1: Exact, c2: Exact | None = None) -> BoundSet:
     if c1 <= 0 or (c2 is not None and Fraction(c2) < c1):
         raise ValueError("need 0 < c1 <= c2")
     phi_inf_gamma = g.phi_inf_gamma
-    phi_sup_gamma = g.phi_sup_gamma
     c2f = None if c2 is None else Fraction(c2)
     return replace(
         g,
         phi_inf_line=g.phi_inf_line.scaled(c1) if g.phi_inf_line else None,
         phi_sup_line=(g.phi_sup_line.scaled(c2f) if (c2f is not None and g.phi_sup_line) else None),
         phi_inf_gamma=(lambda gv: c1 * phi_inf_gamma(gv)) if phi_inf_gamma else None,
-        phi_sup_gamma=(
-            (lambda gv: c2f * phi_sup_gamma(gv)) if (c2f is not None and phi_sup_gamma) else None
-        ),
         s_inf_coeff=None,
         meta=dict(g.meta, rule="sandwich"),
     )
@@ -749,15 +750,9 @@ def rule_product(
         else None
     )
     g_phi, h_phi = g.phi_inf_gamma, h.phi_inf_gamma
-    g_sup, h_sup = g.phi_sup_gamma, h.phi_sup_gamma
     phi_gamma = (
         (lambda gv: g_phi(tuple(gv)[:l]) * h_phi(tuple(gv)[j:]))
         if g_phi and h_phi
-        else None
-    )
-    phi_sup_gamma = (
-        (lambda gv: g_sup(tuple(gv)[:l]) * h_sup(tuple(gv)[j:]))
-        if g_sup and h_sup
         else None
     )
 
@@ -781,7 +776,6 @@ def rule_product(
             mu_u=mu_u,
             chi_gamma=chi_gamma,
             phi_inf_gamma=phi_gamma,
-            phi_sup_gamma=phi_sup_gamma,
             meta={"rule": "product", "split": (j, l, k)},
         )
 
@@ -817,7 +811,6 @@ def rule_product(
         mu_u=mu_u,
         nu_gamma=nu_gamma,
         phi_inf_gamma=phi_gamma,
-        phi_sup_gamma=phi_sup_gamma,
         meta={"rule": "product", "split": (j, l, k)},
     )
 
@@ -839,15 +832,9 @@ def rule_minmax(
     base = rule_product(g, h, j, l, k, deltas, s_inf_coeff=s_inf_coeff)
     pick = min if which == "min" else max
     g_phi, h_phi = g.phi_inf_gamma, h.phi_inf_gamma
-    g_sup, h_sup = g.phi_sup_gamma, h.phi_sup_gamma
     phi_gamma = (
         (lambda gv: pick(_as_rat(g_phi(tuple(gv)[:l])), _as_rat(h_phi(tuple(gv)[j:]))))
         if g_phi and h_phi
-        else None
-    )
-    phi_sup_gamma = (
-        (lambda gv: pick(_as_rat(g_sup(tuple(gv)[:l])), _as_rat(h_sup(tuple(gv)[j:]))))
-        if g_sup and h_sup
         else None
     )
     phi_line = (
@@ -865,7 +852,6 @@ def rule_minmax(
         phi_inf_line=phi_line,
         phi_sup_line=phi_sup_line,
         phi_inf_gamma=phi_gamma,
-        phi_sup_gamma=phi_sup_gamma,
         meta={"rule": f"{which}", "split": (j, l, k)},
     )
 

@@ -10,6 +10,7 @@ never consulted.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Union
 
@@ -81,7 +82,9 @@ def nth_root_exact(q: Rat, k: int) -> Fraction | None:
 
 
 class RVal:
-    """A positive real carried as a rational enclosure [lo, hi]."""
+    """A positive real carried as a rational enclosure [lo, hi].
+
+    Never mutated after __init__: pi_enclosure shares cached instances."""
 
     __slots__ = ("lo", "hi")
 
@@ -169,8 +172,13 @@ def nth_root(x: RVal | Rat, k: int, bits: int) -> RVal:
     return RVal(root_down(v.lo), root_up(v.hi))
 
 
+@functools.lru_cache(maxsize=16)
 def pi_enclosure(bits: int) -> RVal:
-    """pi by Machin's formula with alternating-series tail bounds."""
+    """pi by Machin's formula with alternating-series tail bounds.
+
+    Memoized on the exact `bits`, bounded so that arbitrary budgets cannot
+    grow the cache; all callers of one budget share one RVal.
+    """
     def atan_inv(x: int) -> tuple[Fraction, Fraction]:
         # arctan(1/x) partial sums; alternating, strictly shrinking terms,
         # so consecutive partial sums bracket the limit.
