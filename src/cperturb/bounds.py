@@ -302,6 +302,14 @@ class PredicateDescription:
             if max(abs(lo - d), abs(hi + d)) > dom:
                 raise ValueError("U_delta(A) leaves [-2^emax, 2^emax]")
 
+    def with_gamma_hat(self, gamma_hat: tuple[Fraction, ...]) -> "PredicateDescription":
+        """This description with gamma_hat set.  __post_init__ never reads
+        gamma_hat, so the copy skips it; replace() on any other field still
+        validates."""
+        out = object.__new__(type(self))
+        vars(out).update(vars(self), gamma_hat=gamma_hat)
+        return out
+
     @property
     def n_analysis(self) -> int:
         return len(self.analysis_indices)
@@ -435,7 +443,7 @@ def bounds_univariate(coeffs: Sequence[Exact], desc: PredicateDescription) -> tu
         raise ValueError("univariate analysis needs one analysis coordinate")
     delta = desc.delta[0]
     gamma_hat = desc.gamma_hat or (delta / (2 * d),)
-    desc = replace(desc, gamma_hat=gamma_hat)
+    desc = desc.with_gamma_hat(gamma_hat)
     gh = gamma_hat[0]
 
     nu_line = PowerLine(Sym(2 * d * gh), 1)
@@ -483,7 +491,7 @@ def bounds_multivariate(
 
     cubical = all(dl == desc.delta[0] for dl in desc.delta)
     gamma_hat = desc.gamma_hat or tuple(dl / (2 * beta_hat) for dl in desc.delta)
-    desc = replace(desc, gamma_hat=gamma_hat)
+    desc = desc.with_gamma_hat(gamma_hat)
 
     def chi_gamma(g: Sequence[Fraction]) -> Fraction:
         out = Fraction(1)
@@ -547,7 +555,7 @@ def bounds_inbox_direct(
     cap = (dx * dy) / (2 * (dx + dy))  # keeps nu(gamma_hat) <= mu(U)/2
     gh = min(wx / 2, wy / 2, cap)
     gamma_hat = desc.gamma_hat or (gh, gh)
-    desc = replace(desc, gamma_hat=gamma_hat)
+    desc = desc.with_gamma_hat(gamma_hat)
     ghx, ghy = gamma_hat
 
     def nu_gamma(g: Sequence[Fraction]) -> Fraction:
@@ -597,7 +605,7 @@ def bounds_incircle_direct(
     # nu(gamma_hat) <= mu(U)/2 via pi <= 4: 4*pi*g*dmin <= 16*g*dmin <= 2*dx*dy
     gh = min(r / 2, (dx * dy) / (8 * dmin))
     gamma_hat = desc.gamma_hat or (gh, gh)
-    desc = replace(desc, gamma_hat=gamma_hat)
+    desc = desc.with_gamma_hat(gamma_hat)
 
     def nu_gamma(g: Sequence[Fraction]) -> Sym:
         return Sym(4 * Fraction(g[0]) * dmin, 1)
@@ -642,7 +650,7 @@ def bounds_inbox_topdown(
     # chi positivity margin (1/4) and the phi monotone range (l_i / (2 delta_i))
     cfac = min(Fraction(1, 4), min(l / (2 * d) for l, d in zip(ls, desc.delta)))
     gamma_hat = desc.gamma_hat or tuple(cfac * d for d in desc.delta)
-    desc = replace(desc, gamma_hat=gamma_hat)
+    desc = desc.with_gamma_hat(gamma_hat)
 
     prod_delta = Fraction(1)
     for d in desc.delta:

@@ -11,6 +11,7 @@ never consulted.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -21,12 +22,18 @@ class PrecisionExhausted(ArithmeticError):
     """An enclosure stayed ambiguous up to the refinement cap."""
 
 
-def floor_log2(q: Rat) -> int:
-    """Largest n with 2^n <= q, for rational q > 0.  Exact integer arithmetic."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("floor_log2 needs a positive value")
+def _ratio(q: Rat, name: str) -> tuple[int, int]:
+    """(numerator, denominator) of rational q > 0, without building a Fraction
+    from an int or a Fraction."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     a, b = q.numerator, q.denominator
+    if a <= 0:
+        raise ValueError(f"{name} needs a positive value")
+    return a, b
+
+
+def _floor_log2(a: int, b: int) -> int:
     n = a.bit_length() - b.bit_length()
     # a/b >= 2^n  <=>  a >= b<<n (n may be negative)
     if n >= 0:
@@ -38,18 +45,28 @@ def floor_log2(q: Rat) -> int:
     return n
 
 
+def _is_power_of_two(a: int, b: int) -> bool:
+    # a/b in lowest terms is 2^n exactly when both a and b are powers of two
+    return a & (a - 1) == 0 and b & (b - 1) == 0
+
+
+def floor_log2(q: Rat) -> int:
+    """Largest n with 2^n <= q, for rational q > 0.  Exact integer arithmetic."""
+    return _floor_log2(*_ratio(q, "floor_log2"))
+
+
 def ceil_log2(q: Rat) -> int:
     """Smallest n with 2^n >= q, for rational q > 0."""
-    q = Fraction(q)
-    n = floor_log2(q)
-    return n if q == Fraction(2) ** n else n + 1
+    a, b = _ratio(q, "ceil_log2")
+    if _is_power_of_two(a, b):
+        return a.bit_length() - b.bit_length()
+    return _floor_log2(a, b) + 1
 
 
 def is_power_of_two(q: Rat) -> bool:
-    q = Fraction(q)
-    if q <= 0:
-        return False
-    return q == Fraction(2) ** floor_log2(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    return q.numerator > 0 and _is_power_of_two(q.numerator, q.denominator)
 
 
 def _int_nth_root(n: int, k: int) -> int:
@@ -82,17 +99,33 @@ def nth_root_exact(q: Rat, k: int) -> Fraction | None:
 
 
 class RVal:
-    """A positive real carried as a rational enclosure [lo, hi].
+    """A real number carried as a rational enclosure [lo, hi], lo <= hi.
 
-    Never mutated after __init__: pi_enclosure shares cached instances."""
+    Enclosures of either sign occur (differences, affine factors); lo and hi
+    are always of type Fraction.  An RVal whose lo *is* its hi (one shared
+    object, as RVal(x) and every exact result make) is an exact value, and
+    arithmetic on two exact values does one Fraction operation.  Products
+    and quotients of nonnegative enclosures take only the two endpoint
+    combinations that can be extreme; mixed signs take all four.  Every fast
+    path returns the same Fractions as the four-combination min/max would.
+    Division needs a divisor enclosure with lo > 0.
+
+    Never mutated after construction: pi_enclosure shares cached instances."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Rat, hi: Rat | None = None):
-        self.lo = Fraction(lo)
-        self.hi = self.lo if hi is None else Fraction(hi)
-        if self.lo > self.hi:
-            raise ValueError("inverted enclosure")
+        if lo.__class__ is not Fraction:
+            lo = Fraction(lo)
+        if hi is None:
+            hi = lo
+        else:
+            if hi.__class__ is not Fraction:
+                hi = Fraction(hi)
+            if lo > hi:
+                raise ValueError("inverted enclosure")
+        self.lo = lo
+        self.hi = hi
 
     def __repr__(self):
         return f"RVal({self.lo}, {self.hi})"
@@ -103,49 +136,86 @@ class RVal:
 
     def __add__(self, other):
         o = _coerce(other)
-        return RVal(self.lo + o.lo, self.hi + o.hi)
+        if self.lo is self.hi and o.lo is o.hi:
+            return _point(self.lo + o.lo)
+        return _enclosure(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = _coerce(other)
-        return RVal(self.lo - o.hi, self.hi - o.lo)
+        if self.lo is self.hi and o.lo is o.hi:
+            return _point(self.lo - o.lo)
+        return _enclosure(self.lo - o.hi, self.hi - o.lo)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
         o = _coerce(other)
-        vals = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RVal(min(vals), max(vals))
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if a is b and c is d:
+            return _point(a * c)
+        if a.numerator >= 0 and c.numerator >= 0:
+            return _enclosure(a * c, b * d)
+        vals = (a * c, a * d, b * c, b * d)
+        return _enclosure(min(vals), max(vals))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = _coerce(other)
-        if o.lo <= 0:
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if c.numerator <= 0:
             raise ZeroDivisionError("divisor enclosure touches zero")
-        vals = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return RVal(min(vals), max(vals))
+        if a is b and c is d:
+            return _point(a / c)
+        if a.numerator >= 0:
+            return _enclosure(a / d, b / c)
+        vals = (a / c, a / d, b / c, b / d)
+        return _enclosure(min(vals), max(vals))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def __pow__(self, m: int):
         if m < 0:
-            return RVal(1) / self ** (-m)
+            return _ONE / self ** (-m)
         if m == 0:
-            return RVal(1)
-        lo, hi = self.lo ** m, self.hi ** m
-        if self.lo < 0:  # not needed for our positive pipeline, kept safe
-            lo, hi = min(lo, hi, 0 if m % 2 == 0 else lo), max(lo, hi)
-        return RVal(lo, hi)
+            return _ONE
+        lo, hi = self.lo, self.hi
+        if lo is hi:
+            return _point(lo ** m)
+        if m % 2 or lo.numerator >= 0:  # increasing on the enclosure
+            return _enclosure(lo ** m, hi ** m)
+        if hi.numerator <= 0:  # even power, decreasing on the enclosure
+            return _enclosure(hi ** m, lo ** m)
+        return _enclosure(_ZERO, max(lo ** m, hi ** m))
+
+
+def _enclosure(lo: Fraction, hi: Fraction) -> RVal:
+    """RVal(lo, hi) for Fractions already known to satisfy lo <= hi."""
+    v = object.__new__(RVal)
+    v.lo = lo
+    v.hi = hi
+    return v
+
+
+def _point(x: Fraction) -> RVal:
+    """The exact RVal x, sharing one object for lo and hi."""
+    v = object.__new__(RVal)
+    v.lo = v.hi = x
+    return v
+
+
+_ZERO = Fraction(0)
+_ONE = RVal(1)
 
 
 def _coerce(x) -> RVal:
     if isinstance(x, RVal):
         return x
-    return RVal(Fraction(x))
+    return RVal(x)
 
 
 def nth_root(x: RVal | Rat, k: int, bits: int) -> RVal:
@@ -213,8 +283,6 @@ def ceil_log2_rval(v: RVal) -> int:
 
 
 def ceil_rval(v: RVal) -> int:
-    import math
-
     clo, chi = math.ceil(v.lo), math.ceil(v.hi)
     if clo == chi:
         return clo

@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,39 @@ from cperturb.reals import RVal
 def univariate_pair(coeffs=(0, 1), delta=F(1), emax=1):
     desc = PredicateDescription(expr=Input(0), k=1, delta=(delta,), emax=emax)
     return bounds_univariate(coeffs, desc)
+
+
+class TestPredicateDescription:
+    DESCS = (
+        PredicateDescription(expr=Input(0), k=1, delta=(F(1, 2),), emax=2),
+        PredicateDescription(expr=Input(0), k=6, delta=(1, F(1, 4)), emax=3,
+                             analysis_indices=(4, 5), a_box=((1, 2), (F(-1, 3), 0)), t=F(1, 3)),
+        PredicateDescription(expr=Input(0), k=2, delta=(F(1), F(2)), emax=4,
+                             gamma_hat=(F(1, 8), F(1, 4))),
+    )
+
+    @pytest.mark.parametrize("desc", DESCS)
+    def test_with_gamma_hat_equals_replace(self, desc):
+        gh = tuple(F(1, 16) for _ in desc.delta)
+        fast, slow = desc.with_gamma_hat(gh), replace(desc, gamma_hat=gh)
+        assert fast == slow and hash(fast) == hash(slow)
+        for f in fields(PredicateDescription):
+            assert getattr(fast, f.name) == getattr(slow, f.name)
+            assert type(getattr(fast, f.name)) is type(getattr(slow, f.name))
+        assert fast.gamma_hat is gh and desc.gamma_hat is not gh  # the original is untouched
+
+    def test_builders_set_gamma_hat_like_replace(self):
+        desc = self.DESCS[0]
+        out, bs = bounds_univariate((0, 1), desc)
+        assert out == replace(desc, gamma_hat=bs.gamma_hat)
+
+    @pytest.mark.parametrize("change", [
+        {"delta": (F(0),)}, {"delta": (F(-1, 2),)}, {"delta": (F(1), F(1))},
+        {"t": F(0)}, {"t": F(1)}, {"a_box": ((F(4), F(4)),)},
+    ])
+    def test_replace_still_validates(self, change):
+        with pytest.raises(ValueError):
+            replace(self.DESCS[0].with_gamma_hat((F(1, 4),)), **change)
 
 
 class TestSelectBeta:
