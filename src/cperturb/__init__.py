@@ -90,6 +90,7 @@ from .geom import (
     make_inbox,
     make_incircle,
     make_orientation2d,
+    make_polynomial,
     make_univariate,
     orientation2d_expr,
     rational_expr,

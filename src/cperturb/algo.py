@@ -96,10 +96,6 @@ class AlgorithmDescription:
     n_evals: Callable[[int], int]
     shape: PerturbationShape
 
-    @property
-    def n_predicates(self) -> int:
-        return len(self.predicates)
-
 
 @dataclass(frozen=True)
 class DistributedRequirement:

@@ -294,6 +294,8 @@ class PredicateDescription:
         if any(d <= 0 for d in self.delta):
             raise ValueError("perturbation parameters must be positive")
         box = self.a_box or tuple((Fraction(0), Fraction(0)) for _ in self.delta)
+        if len(box) != len(self.delta):
+            raise ValueError("a_box must match analysis coordinates")
         object.__setattr__(
             self, "a_box", tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
         )
@@ -917,7 +919,8 @@ class RationalPrecision:
     l_g: Callable[[Fraction], int]
     l_h: Callable[[Fraction], int]
 
-    def component_probability(self, p: Exact) -> Fraction:
+    @staticmethod
+    def component_probability(p: Exact) -> Fraction:
         return (1 + Fraction(p)) / 2
 
     def __call__(self, p: Exact) -> int:

@@ -25,9 +25,9 @@ from .algo import (
     run_acp,
     run_basic_acp,
 )
-from .bounds import NotAnalyzable, PredicateDescription, bounds_multivariate, choose_beta
+from .bounds import NotAnalyzable, RationalPrecision
 from .errorbounds import SignCertified
-from .expr import Mul, Input
+from .expr import parse, polynomial_expr
 from .geom import (
     EvalCounter,
     PredicateInstance,
@@ -36,6 +36,7 @@ from .geom import (
     make_inbox,
     make_incircle,
     make_orientation2d,
+    make_polynomial,
     make_univariate,
 )
 from .grid import GridSpec, PerturbationBox, SplitMix64, count_grid, sample_grid_values
@@ -92,116 +93,70 @@ def default_seed() -> int:
 
 
 def build_predicate(args) -> PredicateInstance:
-    deltas = [parse_exact(v) for v in args.delta] if args.delta else [Fraction(1)]
     t = parse_exact(args.t)
     if getattr(args, "predicate_file", None):
-        return _predicate_from_file(args, deltas, t)
+        with open(args.predicate_file, "r", encoding="utf-8") as fh:
+            expr = parse(fh.read())
+        return _polynomial(args, expr, expr.arity(), t, "file")
     name = args.predicate
-    if name == "univariate":
-        degree = args.degree or 1
-        if args.coeffs:
-            coeffs = [parse_exact(c) for c in args.coeffs]
-        else:
-            coeffs = [Fraction(0)] * degree + [Fraction(1)]
-        center = parse_exact(args.xbar[0]) if args.xbar else Fraction(0)
-        return make_univariate(coeffs, center=center, delta=deltas[0], t=t, emax=args.emax)
     if name == "multivariate":
         terms = {}
         for spec_txt in args.terms or ["1:1,1"]:
             coeff_txt, exps_txt = spec_txt.split(":")
             key = tuple(int(e) for e in exps_txt.split(","))
             terms[key] = terms.get(key, Fraction(0)) + parse_exact(coeff_txt)
+        if len({len(key) for key in terms}) > 1:
+            raise InadmissibleInput("--terms exponent tuples differ in length")
         k = len(next(iter(terms)))
-        dl = deltas if len(deltas) == k else [deltas[0]] * k
-        centers = (
-            [parse_exact(v) for v in args.xbar] if args.xbar else [Fraction(0)] * k
-        )
-        expr = _monomial_expr(terms, k)
-        emax = args.emax
-        if emax is None:
-            from .grid import compute_emax
-
-            emax = compute_emax(centers, dl)
-        desc = PredicateDescription(
-            expr=expr,
-            k=k,
-            delta=tuple(dl),
-            emax=emax,
-            analysis_indices=tuple(range(k)),
-            a_box=tuple((c, c) for c in centers),
-            t=t,
-        )
-        beta = choose_beta(set(terms), k)
-        desc, bs = bounds_multivariate(set(terms), terms, beta, desc)
-        return PredicateInstance("multivariate", expr, desc, bs, None, fixed={})
+        return _polynomial(args, polynomial_expr(terms), k, t, "multivariate")
+    delta = _deltas(args, 1)[0]
+    if name == "univariate":
+        degree = args.degree or 1
+        if args.coeffs:
+            coeffs = [parse_exact(c) for c in args.coeffs]
+        else:
+            coeffs = [Fraction(0)] * degree + [Fraction(1)]
+        (center,) = _exacts("--xbar", args.xbar, ["0"])
+        return make_univariate(coeffs, center=center, delta=delta, t=t, emax=args.emax)
     if name == "in_box":
         u = [parse_exact(v) for v in (args.corner_u or ["0", "0"])]
         v = [parse_exact(v) for v in (args.corner_v or ["2", "2"])]
-        q = [parse_exact(v) for v in (args.xbar or ["1", "1"])]
-        return make_inbox(u, v, q, delta=deltas[0], t=t, emax=args.emax)
+        q = _exacts("--xbar", args.xbar, ["1", "1"])
+        return make_inbox(u, v, q, delta=delta, t=t, emax=args.emax)
     if name == "in_circle":
         c = [parse_exact(v) for v in (args.center or ["0", "0"])]
         r = parse_exact(args.radius or "1")
-        q = [parse_exact(v) for v in (args.xbar or ["0", "1"])]
-        return make_incircle(c, r, q, delta=deltas[0], t=t, emax=args.emax)
+        q = _exacts("--xbar", args.xbar, ["0", "1"])
+        return make_incircle(c, r, q, delta=delta, t=t, emax=args.emax)
     if name == "orientation2d":
-        pts = [parse_exact(v) for v in (args.xbar or ["0", "0", "1", "0", "0", "1"])]
+        pts = _exacts("--xbar", args.xbar, ["0", "0", "1", "0", "0", "1"])
         centers = [pts[i : i + 2] for i in range(0, 6, 2)]
-        return make_orientation2d(centers, delta=deltas[0], t=t, emax=args.emax)
+        return make_orientation2d(centers, delta=delta, t=t, emax=args.emax)
     raise ValueError(f"unknown predicate {name!r}")
 
 
-def _predicate_from_file(args, deltas, t) -> PredicateInstance:
-    """A polynomial predicate from a prefix-format expression file.
-
-    The expression is expanded symbolically and analyzed through the
-    multivariate machinery; non-polynomial operators are not analyzable by
-    this route (use the named built-ins instead)."""
-    from .expr import NotPolynomial, expand_polynomial, parse
-
-    with open(args.predicate_file, "r", encoding="utf-8") as fh:
-        expr = parse(fh.read())
-    k = expr.arity()
-    if k == 0:
-        raise NotAnalyzable("expression has no inputs")
-    try:
-        terms = expand_polynomial(expr, k)
-    except NotPolynomial as exc:
-        raise NotAnalyzable(f"not a polynomial expression: {exc}") from exc
-    if not terms:
-        raise NotAnalyzable("the zero polynomial has no sign to certify")
-    dl = deltas if len(deltas) == k else [deltas[0]] * k
-    centers = [parse_exact(v) for v in args.xbar] if args.xbar else [Fraction(0)] * k
-    emax = args.emax
-    if emax is None:
-        from .grid import compute_emax
-
-        emax = compute_emax(centers, dl)
-    desc = PredicateDescription(
-        expr=expr,
-        k=k,
-        delta=tuple(dl),
-        emax=emax,
-        analysis_indices=tuple(range(k)),
-        a_box=tuple((c, c) for c in centers),
-        t=t,
-    )
-    beta = choose_beta(set(terms), k)
-    desc, bs = bounds_multivariate(set(terms), terms, beta, desc)
-    return PredicateInstance("file", expr, desc, bs, None, fixed={})
+def _exacts(flag: str, texts, default: list[str]) -> list[Fraction]:
+    """A flag's exact values, as many as its default has; the default when
+    the flag is absent."""
+    texts, n = texts or default, len(default)
+    if len(texts) != n:
+        raise InadmissibleInput(f"{flag} takes {n} value{'s' * (n != 1)}, got {len(texts)}")
+    return [parse_exact(v) for v in texts]
 
 
-def _monomial_expr(terms: dict, k: int):
-    from .expr import Add, Const
+def _deltas(args, k: int) -> list[Fraction]:
+    """k perturbation parameters from --delta: one for all, or one each."""
+    texts = args.delta or ["1"]
+    if len(texts) not in (1, k):
+        want = "1 value" if k == 1 else f"1 or {k} values"
+        raise InadmissibleInput(f"--delta takes {want}, got {len(texts)}")
+    return [parse_exact(v) for v in texts] * (k // len(texts))
 
-    out = None
-    for key, coeff in sorted(terms.items()):
-        term = Const(coeff)
-        for i, e in enumerate(key):
-            for _ in range(e):
-                term = Mul(term, Input(i))
-        out = term if out is None else Add(out, term)
-    return out
+
+def _polynomial(args, expr, k: int, t: Fraction, name: str) -> PredicateInstance:
+    """A polynomial predicate over k inputs, all perturbed and analyzed."""
+    centers = _exacts("--xbar", args.xbar, ["0"] * k)
+    return make_polynomial(expr, k, centers, _deltas(args, k), t, args.emax, name)
 
 
 # --- analyze --------------------------------------------------------------------
@@ -241,11 +196,11 @@ def _print_trace(name: str, req, indent: str = "") -> None:
 
 def _analyze_rational(args, p: Fraction) -> int:
     """f = g/h: both components analyzed at (1+p)/2; L_f is their max."""
-    q = (1 + p) / 2
+    q = RationalPrecision.component_probability(p)
     t = parse_exact(args.t)
-    deltas = [parse_exact(v) for v in args.delta] if args.delta else [Fraction(1)]
-    num = make_univariate((0, 1), center=1, delta=deltas[0], t=t, emax=args.emax)
-    den = make_univariate((0, 1), center=1, delta=deltas[-1], t=t, emax=args.emax)
+    d_num, d_den = _deltas(args, 2)
+    num = make_univariate((0, 1), center=1, delta=d_num, t=t, emax=args.emax)
+    den = make_univariate((0, 1), center=1, delta=d_den, t=t, emax=args.emax)
     try:
         rn = quantified_relations(num.desc, num.bounds, q)
         rd = quantified_relations(den.desc, den.bounds, q)
@@ -472,24 +427,27 @@ def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cperturb", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="precision/probability analysis")
-    pa.add_argument("--predicate", default="univariate")
-    pa.add_argument("--predicate-file", dest="predicate_file",
-                    help="prefix-format polynomial expression file")
+    # the predicate flags analyze and simulate share
+    pred = argparse.ArgumentParser(add_help=False)
+    pred.add_argument("--predicate", default="univariate")
+    pred.add_argument("--predicate-file", dest="predicate_file",
+                      help="prefix-format polynomial expression file")
+    pred.add_argument("--delta", nargs="*", help="perturbation parameters")
+    pred.add_argument("--emax", type=int, default=None)
+    pred.add_argument("--t", default="1/2")
+    pred.add_argument("--degree", type=int)
+    pred.add_argument("--coeffs", nargs="*", help="a_0 .. a_d for univariate")
+    pred.add_argument("--terms", nargs="*", help="coeff:e1,e2,... for multivariate")
+    pred.add_argument("--xbar", nargs="*", help="analysis-coordinate centers")
+    pred.add_argument("--corner-u", nargs=2, dest="corner_u")
+    pred.add_argument("--corner-v", nargs=2, dest="corner_v")
+    pred.add_argument("--center", nargs=2)
+    pred.add_argument("--radius")
+
+    pa = sub.add_parser("analyze", parents=[pred], help="precision/probability analysis")
     pa.add_argument("--algorithm", help="analyze a whole algorithm (hull)")
     pa.add_argument("--p", required=True, help="target success probability")
-    pa.add_argument("--delta", nargs="*", help="perturbation parameters")
-    pa.add_argument("--emax", type=int, default=None)
-    pa.add_argument("--t", default="1/2")
     pa.add_argument("--n", type=int, help="input size for --algorithm")
-    pa.add_argument("--degree", type=int)
-    pa.add_argument("--coeffs", nargs="*", help="a_0 .. a_d for univariate")
-    pa.add_argument("--terms", nargs="*", help="coeff:e1,e2,... for multivariate")
-    pa.add_argument("--xbar", nargs="*", help="analysis-coordinate centers")
-    pa.add_argument("--corner-u", nargs=2, dest="corner_u")
-    pa.add_argument("--corner-v", nargs=2, dest="corner_v")
-    pa.add_argument("--center", nargs=2)
-    pa.add_argument("--radius")
     pa.add_argument("--shape", choices=["box", "disc", "ball"])
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_analyze)
@@ -503,24 +461,12 @@ def make_parser() -> argparse.ArgumentParser:
     pe.add_argument("--grid", action="store_true")
     pe.set_defaults(func=cmd_enumerate)
 
-    ps = sub.add_parser("simulate", help="Monte Carlo success-rate estimation")
-    ps.add_argument("--predicate", default="univariate")
-    ps.add_argument("--predicate-file", dest="predicate_file")
+    ps = sub.add_parser("simulate", parents=[pred],
+                        help="Monte Carlo success-rate estimation")
     ps.add_argument("--L", type=int, required=True)
     ps.add_argument("--K", type=int, required=True)
     ps.add_argument("--trials", type=int, required=True)
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--xbar", nargs="*")
-    ps.add_argument("--delta", nargs="*")
-    ps.add_argument("--emax", type=int, default=None)
-    ps.add_argument("--t", default="1/2")
-    ps.add_argument("--degree", type=int)
-    ps.add_argument("--coeffs", nargs="*")
-    ps.add_argument("--terms", nargs="*")
-    ps.add_argument("--corner-u", nargs=2, dest="corner_u")
-    ps.add_argument("--corner-v", nargs=2, dest="corner_v")
-    ps.add_argument("--center", nargs=2)
-    ps.add_argument("--radius")
     ps.add_argument("--jobs", type=int, default=1,
                     help="parallel Monte Carlo workers (seed-partitioned)")
     ps.set_defaults(func=cmd_simulate)

@@ -198,3 +198,22 @@ def expand_polynomial(e: Expr, k: int) -> dict[tuple[int, ...], Fraction]:
                     del out[key]
         return out
     raise NotPolynomial(f"{type(e).__name__} node in polynomial expansion")
+
+
+def polynomial_expr(terms: dict[tuple[int, ...], Fraction]) -> Expr:
+    """The tree of a term dict {exponent tuple: coefficient}.
+
+    Nonzero terms in ascending key order, each Const(c) multiplied by its
+    inputs one Mul at a time, folded left with Add; the zero polynomial is
+    Const(0).  The shape fixes the guard's rounding order, so it stays put.
+    """
+    out = None
+    for key, c in sorted(terms.items()):
+        if c == 0:
+            continue
+        term: Expr = Const(c)
+        for i, e in enumerate(key):
+            for _ in range(e):
+                term = Mul(term, Input(i))
+        out = term if out is None else Add(out, term)
+    return Const(Fraction(0)) if out is None else out

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .bounds import (
     BoundSet,
+    NotAnalyzable,
     PredicateDescription,
     bounds_inbox_direct,
     bounds_incircle_direct,
@@ -29,7 +30,9 @@ from .bounds import (
 )
 from .errorbounds import GuardFailed, RangeErrorVerdict, guarded_eval
 from .exact import rat_sign
-from .expr import Div, Expr, Input, Max, Mul, Sub, expand_polynomial
+from .expr import (
+    Add, Div, Expr, Input, Max, Mul, NotPolynomial, Sub, expand_polynomial, polynomial_expr,
+)
 from .softfloat import SoftFloat, to_pair
 
 Exact = Union[int, Fraction]
@@ -57,8 +60,6 @@ def incircle_expr() -> Expr:
     """(q_x-c_x)^2 + (q_y-c_y)^2 - r^2: negative inside the circle."""
     cx, cy, r, qx, qy = (Input(i) for i in range(5))
     dx, dy = Sub(qx, cx), Sub(qy, cy)
-    from .expr import Add
-
     return Sub(Add(Mul(dx, dx), Mul(dy, dy)), Mul(r, r))
 
 
@@ -112,8 +113,7 @@ def make_univariate(
 ) -> PredicateInstance:
     """Univariate polynomial over one perturbed coordinate."""
     coeffs = tuple(Fraction(c) for c in coeffs)
-    d = len(coeffs) - 1
-    expr: Expr = _poly_expr(coeffs)
+    expr = polynomial_expr({(i,): c for i, c in enumerate(coeffs)})
     from .grid import compute_emax
 
     if emax is None:
@@ -133,24 +133,43 @@ def make_univariate(
     return PredicateInstance("univariate", expr, desc, bs, crit, fixed={})
 
 
-def _poly_expr(coeffs: Sequence[Fraction]) -> Expr:
-    from .expr import Add, Const
+def make_polynomial(
+    expr: Expr,
+    k: int,
+    centers: Sequence[Exact],
+    deltas: Sequence[Exact],
+    t: Exact = Fraction(1, 2),
+    emax: int | None = None,
+    name: str = "polynomial",
+) -> PredicateInstance:
+    """A polynomial predicate with all k inputs perturbed and analyzed.
 
-    x = Input(0)
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        term: Expr = Const(c)
-        for _ in range(i):
-            term = Mul(term, x)
-        terms.append(term)
-    if not terms:
-        return Const(Fraction(0))
-    out = terms[0]
-    for term in terms[1:]:
-        out = Add(out, term)
-    return out
+    The expression is expanded, which drops zero and cancelled terms; phi
+    and chi come from the chosen maximal exponent tuple beta.  A zero or
+    constant polynomial has no sign change to analyze.
+    """
+    try:
+        terms = expand_polynomial(expr, k)
+    except NotPolynomial as exc:
+        raise NotAnalyzable(f"not a polynomial expression: {exc}") from exc
+    if not any(any(key) for key in terms):
+        raise NotAnalyzable("the zero or a constant polynomial has no sign change to analyze")
+    from .grid import compute_emax
+
+    if emax is None:
+        emax = compute_emax(centers, deltas)
+    desc = PredicateDescription(
+        expr=expr,
+        k=k,
+        delta=tuple(deltas),
+        emax=emax,
+        analysis_indices=tuple(range(k)),
+        a_box=tuple((c, c) for c in centers),
+        t=t,
+    )
+    beta = choose_beta(set(terms), k)
+    desc, bs = bounds_multivariate(set(terms), terms, beta, desc)
+    return PredicateInstance(name, expr, desc, bs, None, fixed={})
 
 
 def make_orientation2d(
@@ -160,28 +179,10 @@ def make_orientation2d(
     emax: int | None = None,
 ) -> PredicateInstance:
     """orientation2d with all six coordinates perturbed (cubical deltas)."""
-    expr = orientation2d_expr()
     flat = [Fraction(c) for pt in centers for c in pt]
     if len(flat) != 6:
         raise ValueError("three planar points expected")
-    from .grid import compute_emax
-
-    delta = Fraction(delta)
-    if emax is None:
-        emax = compute_emax(flat, [delta] * 6)
-    desc = PredicateDescription(
-        expr=expr,
-        k=6,
-        delta=(delta,) * 6,
-        emax=emax,
-        analysis_indices=tuple(range(6)),
-        a_box=tuple((c, c) for c in flat),
-        t=Fraction(t),
-    )
-    terms = expand_polynomial(expr, 6)
-    beta = choose_beta(set(terms), 6)
-    desc, bs = bounds_multivariate(set(terms), terms, beta, desc)
-    return PredicateInstance("orientation2d", expr, desc, bs, None, fixed={})
+    return make_polynomial(orientation2d_expr(), 6, flat, [delta] * 6, t, emax, "orientation2d")
 
 
 def make_inbox(

@@ -55,10 +55,6 @@ def min_normal(L: int, K: int) -> Fraction:
     return Fraction(2) ** exponent_min(K)
 
 
-def min_subnormal(L: int, K: int) -> Fraction:
-    return Fraction(2) ** (exponent_min(K) - L)
-
-
 @dataclass(frozen=True)
 class SoftFloat:
     """One member of F_{L,K}.  Immutable; arithmetic lives in fl_binop."""

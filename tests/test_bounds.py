@@ -65,6 +65,11 @@ class TestPredicateDescription:
         with pytest.raises(ValueError):
             replace(self.DESCS[0].with_gamma_hat((F(1, 4),)), **change)
 
+    @pytest.mark.parametrize("a_box", [((F(0), F(0)),), ((F(0), F(0)),) * 3])
+    def test_a_box_length_must_match_delta(self, a_box):
+        with pytest.raises(ValueError, match="a_box"):
+            PredicateDescription(expr=Input(0), k=2, delta=(F(1), F(1)), emax=2, a_box=a_box)
+
 
 class TestSelectBeta:
     def test_two_incomparable(self):

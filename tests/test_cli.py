@@ -186,3 +186,71 @@ class TestSeedEnv:
         b = run_cli("hull", "--input", str(path), "--delta", "1/4", "--seed", "77")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+class TestPredicateInput:
+    """Polynomial predicates from --terms or a file: zero terms, the zero
+    polynomial and coordinate counts, through both subcommands."""
+
+    RUN = {
+        "analyze": ["--p", "9/10"],
+        "simulate": ["--L", "10", "--K", "8", "--trials", "20", "--seed", "1"],
+    }
+
+    def run(self, command, *flags):
+        return main([command, *flags, *self.RUN[command]])
+
+    @pytest.mark.parametrize("command", sorted(RUN))
+    def test_zero_coefficient_term_is_dropped(self, command, capsys):
+        assert self.run(command, "--predicate", "multivariate", "--terms", "0:2,0", "1:1,0") == 0
+        with_zero = capsys.readouterr().out
+        assert self.run(command, "--predicate", "multivariate", "--terms", "1:1,0") == 0
+        assert with_zero == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(RUN))
+    def test_zero_terms_not_analyzable(self, command, capsys):
+        assert self.run(command, "--predicate", "multivariate", "--terms", "0:2,0", "0:1,1") == 2
+        assert "not analyzable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(RUN))
+    def test_cancelling_file_not_analyzable(self, command, tmp_path, capsys):
+        path = tmp_path / "cancel.txt"
+        path.write_text("(sub (mul x0 x1) (mul x1 x0))\n")
+        assert self.run(command, "--predicate-file", str(path)) == 2
+        assert "not analyzable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(RUN))
+    @pytest.mark.parametrize("flags", [
+        ["--predicate", "multivariate", "--terms", "1:1,1", "--xbar", "1"],
+        ["--predicate", "multivariate", "--terms", "1:1,1", "--xbar", "1", "2", "3"],
+        ["--predicate", "multivariate", "--terms", "1:1,1", "--delta", "1", "2", "3"],
+        ["--predicate", "multivariate", "--terms", "1:1,1", "1:1"],
+        ["--predicate", "orientation2d", "--xbar", "0", "0", "1", "0"],
+        ["--predicate", "univariate", "--xbar", "1", "2"],
+        ["--predicate", "in_circle", "--delta", "1/4", "1/4"],
+    ], ids=["xbar_short", "xbar_long", "delta_count", "terms_lengths", "orientation2d_xbar",
+            "univariate_xbar", "in_circle_delta"])
+    def test_inadmissible_counts(self, command, flags, capsys):
+        assert self.run(command, *flags) == 2
+        assert "inadmissible input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(RUN))
+    def test_file_xbar_count(self, command, tmp_path, capsys):
+        path = tmp_path / "poly.txt"
+        path.write_text("(mul x0 (sub x1 x2))\n")
+        assert self.run(command, "--predicate-file", str(path), "--xbar", "1", "2") == 2
+        assert "inadmissible input" in capsys.readouterr().err
+
+    def test_option_sets(self):
+        from cperturb.cli import make_parser
+
+        shared = {"--predicate", "--predicate-file", "--delta", "--emax", "--t", "--degree",
+                  "--coeffs", "--terms", "--xbar", "--corner-u", "--corner-v", "--center",
+                  "--radius", "-h", "--help"}
+        subparsers = make_parser()._subparsers._group_actions[0].choices
+        options = {
+            name: {s for a in sub._actions for s in a.option_strings}
+            for name, sub in subparsers.items()
+        }
+        assert options["analyze"] == shared | {"--algorithm", "--p", "--n", "--shape", "--json"}
+        assert options["simulate"] == shared | {"--L", "--K", "--trials", "--seed", "--jobs"}

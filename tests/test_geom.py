@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from cperturb.bounds import NotAnalyzable
 from cperturb.errorbounds import GuardFailed, SignCertified
 from cperturb.exact import rat_eval, rat_sign
+from cperturb.expr import Add, Const, Div, Input, Mul, Sub, expand_polynomial, polynomial_expr
 from cperturb.geom import (
     canonical_cycle,
     exact_convex_hull,
@@ -13,6 +15,7 @@ from cperturb.geom import (
     make_inbox,
     make_incircle,
     make_orientation2d,
+    make_polynomial,
     make_univariate,
     orientation2d_expr,
     rational_expr,
@@ -95,6 +98,53 @@ class TestGuardMatchesOracle:
                 certified += 1
                 assert v.sign == rat_sign(inst.expr, full)
         assert certified > 400  # generous precision certifies nearly always
+
+
+class TestPolynomialBuilder:
+    def test_univariate_tree_shape(self):
+        # ascending terms, zeros skipped, Const times x one Mul at a time,
+        # folded left: the shape fixes the guard's rounding order
+        x = Input(0)
+        expected = Add(
+            Add(Const(F(3)), Mul(Mul(Const(F(-2)), x), x)),
+            Mul(Mul(Mul(Const(F(1, 3)), x), x), x),
+        )
+        assert make_univariate((3, 0, -2, F(1, 3))).expr == expected
+
+    def test_polynomial_expr_inverts_expansion(self):
+        terms = {(0, 2, 1): F(-3, 4), (1, 0, 0): F(5), (0, 0, 0): F(1, 3), (2, 1, 0): F(0)}
+        e = polynomial_expr(terms)
+        assert expand_polynomial(e, 3) == {key: c for key, c in terms.items() if c}
+        assert polynomial_expr({(1, 0): F(0)}) == Const(F(0))
+
+    def test_orientation2d_is_a_polynomial(self):
+        centers = [(0, 0), (1, F(1, 2)), (F(-3, 4), 2)]
+        flat = [c for pt in centers for c in pt]
+        a = make_orientation2d(centers, delta=F(1, 8))
+        b = make_polynomial(orientation2d_expr(), 6, flat, [F(1, 8)] * 6, name="orientation2d")
+        assert (a.name, a.expr, a.desc) == (b.name, b.expr, b.desc)
+        assert a.bounds.meta == b.bounds.meta and a.bounds.gamma_hat == b.bounds.gamma_hat
+
+    def test_zero_terms_are_dropped(self):
+        e = polynomial_expr({(2, 0): F(1), (1, 1): F(1)})
+        padded = Add(e, Mul(Const(F(0)), Mul(Input(0), Input(1))))
+        a = make_polynomial(e, 2, (F(1, 2), 1), (F(1, 4), F(1, 4)))
+        b = make_polynomial(padded, 2, (F(1, 2), 1), (F(1, 4), F(1, 4)))
+        assert a.bounds.meta == b.bounds.meta and a.desc.emax == b.desc.emax
+
+    @pytest.mark.parametrize("expr", [
+        Const(F(0)),
+        Sub(Mul(Input(0), Input(1)), Mul(Input(1), Input(0))),
+        Add(Const(F(3)), Sub(Input(0), Input(0))),
+        Div(Input(0), Input(1)),
+    ], ids=["zero", "cancelling", "constant", "division"])
+    def test_refusals(self, expr):
+        with pytest.raises(NotAnalyzable):
+            make_polynomial(expr, 2, (0, 0), (1, 1))
+
+    def test_coordinate_counts_checked(self):
+        with pytest.raises(ValueError):
+            make_polynomial(Mul(Input(0), Input(1)), 2, (0,), (1, 1))
 
 
 class TestRationalPredicate:
