@@ -35,7 +35,7 @@ class GammaTooLarge(ValueError):
     """gamma violates a positivity precondition of a closed form."""
 
 
-class ArityTooLarge(ValueError):
+class ArityTooLarge(NotAnalyzable):
     """select_beta is capped at k = 8 variables."""
 
 

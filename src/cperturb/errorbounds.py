@@ -538,15 +538,20 @@ def _guard_of(e: Expr) -> CompiledGuard:
     return g
 
 
-def guarded_eval(e: Expr, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> GuardVerdict:
+def guarded_eval(
+    e: Expr, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int, *, pairs: bool = False
+) -> GuardVerdict:
     """Evaluate with F_{L,K} arithmetic; certify the sign or fail safely.
 
     The certified sign always equals the exact rational sign; exact zeros can
     never be certified.  Overflow, inexact underflow and division by zero all
     surface as RangeErrorVerdict, the signal on which the perturbation loop
-    grows K.  Inputs are SoftFloats or exact values, and must lie in F_{L,K}.
+    grows K.  Inputs are SoftFloats or exact values, and must lie in F_{L,K};
+    with ``pairs`` they are already the (M, q) pairs of such members, as
+    _input_pairs gives them, and are taken unchecked.
     """
-    return _guard_of(e)(x, L, K, emax)
+    guard = _guard_of(e)
+    return guard._verdict(x, L, K, emax) if pairs else guard(x, L, K, emax)
 
 
 def dynamic_bound(e: Expr, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> Fraction:

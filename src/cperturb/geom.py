@@ -28,12 +28,12 @@ from .bounds import (
     bounds_univariate,
     choose_beta,
 )
-from .errorbounds import GuardFailed, RangeErrorVerdict, guarded_eval
+from .errorbounds import GuardFailed, RangeErrorVerdict, _input_pairs, guarded_eval
 from .exact import rat_sign
 from .expr import (
     Add, Div, Expr, Input, Max, Mul, NotPolynomial, Sub, expand_polynomial, polynomial_expr,
 )
-from .softfloat import SoftFloat, to_pair
+from .softfloat import SoftFloat
 
 Exact = Union[int, Fraction]
 
@@ -281,30 +281,15 @@ class EvalCounter:
 _ORIENTATION2D = orientation2d_expr()
 
 
-def guarded_orientation(
-    a: tuple[SoftFloat, SoftFloat],
-    b: tuple[SoftFloat, SoftFloat],
-    c: tuple[SoftFloat, SoftFloat],
-    L: int,
-    K: int,
-    emax: int,
-    counter: Optional[EvalCounter] = None,
-):
-    if counter is not None:
-        counter.evaluations += 1
-    return guarded_eval(_ORIENTATION2D, (*a, *b, *c), L, K, emax)
-
-
-def _xy_order(points: Sequence[tuple[SoftFloat, SoftFloat]]) -> list[int]:
+def _xy_order(pairs: Sequence[tuple[int, int]]) -> list[int]:
     """Indices of the distinct points in xy-order; of coincident points the
     first index is kept.
 
-    The keys are integers built once per call: every coordinate's pair
-    (M, q) of value M * 2^q, shifted to the smallest q among the nonzero
-    coordinates.  They have exactly the order and the ties of the values,
-    for any SoftFloats.
+    ``pairs`` holds every point's x and y as pairs (M, q) of value M * 2^q,
+    in turn.  The keys are integers built once per call: each M shifted to
+    the smallest q among the nonzero coordinates.  They have exactly the
+    order and the ties of the values, for any pairs.
     """
-    pairs = [to_pair(c) for pt in points for c in pt]
     q0 = min((q for M, q in pairs if M), default=0)
     scaled = [M << (q - q0) if M else 0 for M, q in pairs]
     keys = list(zip(scaled[0::2], scaled[1::2]))
@@ -316,7 +301,7 @@ def _xy_order(points: Sequence[tuple[SoftFloat, SoftFloat]]) -> list[int]:
 
 
 def guarded_convex_hull(
-    points: Sequence[tuple[SoftFloat, SoftFloat]],
+    points: Sequence[tuple[Union[SoftFloat, Exact], Union[SoftFloat, Exact]]],
     L: int,
     K: int,
     emax: int,
@@ -326,21 +311,27 @@ def guarded_convex_hull(
 
     Returns ('success', indices) with the CCW hull (first vertex = smallest
     point in xy-order), or the failure kind of the first unguarded test.
-    Exactly coincident input points are merged by exact comparison on the
-    integer keys of _xy_order, which involves no rounding and needs no guard.
+    Every coordinate must lie in F_{L,K}; it is turned into its pair once,
+    and the sort and every orientation test share that pair.  Exactly
+    coincident input points are merged by exact comparison on the integer
+    keys of _xy_order, which involves no rounding and needs no guard.
     """
     if len(points) < 3:
         return ("guard_failure", None)
-    dedup = _xy_order(points)
+    flat = _input_pairs([c for pt in points for c in pt], L, K)
+    dedup = _xy_order(flat)
     if len(dedup) < 3:
         return ("guard_failure", None)
+    pts = list(zip(flat[0::2], flat[1::2]))
 
     def build(seq):
         chain: list[int] = []
         for i in seq:
             while len(chain) >= 2:
-                verdict = guarded_orientation(
-                    points[chain[-2]], points[chain[-1]], points[i], L, K, emax, counter
+                if counter is not None:
+                    counter.evaluations += 1
+                verdict = guarded_eval(
+                    _ORIENTATION2D, (*pts[chain[-2]], *pts[chain[-1]], *pts[i]), L, K, emax, pairs=True
                 )
                 if isinstance(verdict, RangeErrorVerdict):
                     return ("range_error", None)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .softfloat import SoftFloat, _round_scaled, fl_round, is_representable, zero
+from .softfloat import SoftFloat, _round_scaled, exponent_min, fl_round, is_representable, zero
 
 Exact = Fraction
 
@@ -136,12 +136,21 @@ class GridSpec:
 
 
 def grid_float(lam: int, spec: GridSpec) -> SoftFloat:
-    """The grid point lam * tau as a member of F_{L,K}, built from its index."""
+    """The grid point lam * tau as a member of F_{L,K}, built from its index.
+
+    With n = |lam|.bit_length() <= L + 1, lam * tau has exponent
+    e = emax - L - 2 + n and significand |lam| << (L + 1 - n), exactly.
+    The rest (subnormal points below e_min, and |lam| >= 2^(L+1)) is rounded.
+    """
+    L, K = spec.L, spec.K
     if lam == 0:
-        return zero(spec.L, spec.K)
-    return _round_scaled(
-        1 if lam > 0 else -1, abs(lam), spec.emax - spec.L - 1, spec.L, spec.K, "grid"
-    )
+        return zero(L, K)
+    a, sign = (lam, 1) if lam > 0 else (-lam, -1)
+    n = a.bit_length()
+    e = spec.emax - L - 2 + n
+    if n > L + 1 or e < exponent_min(K):
+        return _round_scaled(sign, a, spec.emax - L - 1, L, K, "grid")
+    return SoftFloat(sign, a << (L + 1 - n), e, L, K)
 
 
 def enumerate_grid(a: Exact, b: Exact, spec: GridSpec) -> list[Fraction]:

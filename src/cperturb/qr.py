@@ -277,6 +277,17 @@ class ProbabilityReport:
 _PROB_BITS = 192
 
 
+def _region_share(bounds: BoundSet, lam: RVal, bits: int) -> RVal:
+    """The success probability at line position lam: the share of the A-box
+    outside the region (kind nu), or the region's share (kind mu)."""
+    if bounds.region_line is None:
+        raise NotAnalyzable("region bound has no invertible line form")
+    region = bounds.region_line.value(lam, bits)
+    if bounds.kind == "nu":
+        return RVal(1) - region / RVal(bounds.mu_u)
+    return region / RVal(bounds.mu_u)
+
+
 def probability(
     desc: PredicateDescription, bounds: BoundSet, L: int, K: int
 ) -> ProbabilityReport:
@@ -290,11 +301,7 @@ def probability(
         if lam.hi > 1:
             clamped.append(tag)
             return Fraction(0)
-        region = bounds.region_line.value(lam, bits)
-        if bounds.kind == "nu":
-            p = RVal(1) - region / RVal(bounds.mu_u)
-        else:
-            p = region / RVal(bounds.mu_u)
+        p = _region_share(bounds, lam, bits)
         if p.lo < 0:
             clamped.append(tag)
             return Fraction(0)
@@ -358,9 +365,5 @@ def _p_sup(
     if lam.lo >= 1:
         clamped.append("p_sup")
         return Fraction(1)
-    region = bounds.region_line.value(RVal(max(lam.lo, 0), max(lam.hi, 0)), bits)
-    if bounds.kind == "nu":
-        p = RVal(1) - region / RVal(bounds.mu_u)
-    else:
-        p = region / RVal(bounds.mu_u)
+    p = _region_share(bounds, RVal(max(lam.lo, 0), max(lam.hi, 0)), bits)
     return max(Fraction(0), min(p.lo, Fraction(1)))

@@ -109,6 +109,15 @@ class TestSimulate:
         b = capsys.readouterr().out
         assert a == b
 
+    def test_no_region_line_prints_na(self, capsys):
+        # non-cubical deltas leave the multivariate region bound without a line form
+        code = main(["simulate", "--predicate", "multivariate", "--terms", "1:2,0", "1:0,2",
+                     "--delta", "1/4", "1/8", "--L", "16", "--K", "8", "--trials", "10",
+                     "--seed", "1"])
+        assert code == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert row.startswith("16,8,10,") and row.endswith(",n/a")
+
 
 class TestHull(object):
     def write_points(self, tmp_path, rows):
@@ -233,6 +242,14 @@ class TestPredicateInput:
     def test_inadmissible_counts(self, command, flags, capsys):
         assert self.run(command, *flags) == 2
         assert "inadmissible input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(RUN))
+    def test_arity_above_eight_not_analyzable(self, command, tmp_path, capsys):
+        # select_beta is capped at eight variables
+        path = tmp_path / "nine.txt"
+        path.write_text("(add (mul x0 x8) x1)\n")
+        assert self.run(command, "--predicate-file", str(path)) == 2
+        assert "not analyzable" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(RUN))
     def test_file_xbar_count(self, command, tmp_path, capsys):

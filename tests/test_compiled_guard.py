@@ -1,6 +1,7 @@
 """Compiled guards against the tree-walking reference on random expressions,
 and the error bounds they certify with."""
 
+import random
 from fractions import Fraction as F
 
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,7 @@ from reference_guard import coerce_inputs, eval_arithmetic, reference_guarded_ev
 from cperturb.errorbounds import _input_pairs, annotate, compile_guard, guarded_eval, static_bound
 from cperturb.exact import rat_eval
 from cperturb.expr import Abs, Add, Const, Div, Input, Max, Min, Mul, Sub
+from cperturb import geom
 from cperturb.geom import orientation2d_expr
 from cperturb.grid import GridSpec, grid_float
 from cperturb.softfloat import RangeError, fl_round
@@ -91,3 +93,39 @@ def test_zero_input_at_wide_exponent_field():
     e = orientation2d_expr()
     assert guarded_eval(e, xs, L, K, emax) == reference_guarded_eval(e, xs, L, K, emax)
     assert _compiled_block(e, xs, L, K) == _reference_block(e, xs, L, K)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_pairs_give_the_same_verdict(case):
+    e, xs, L, K, emax = case
+    verdict = guarded_eval(e, _input_pairs(xs, L, K), L, K, emax, pairs=True)
+    assert verdict == guarded_eval(e, xs, L, K, emax) == reference_guarded_eval(e, xs, L, K, emax)
+
+
+def test_hull_calls_guarded_eval_once_per_evaluation(monkeypatch):
+    # the benchmark counts orientation tests by wrapping geom.guarded_eval
+    calls = []
+    real = geom.guarded_eval
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "guarded_eval", counting)
+    rng = random.Random(12)
+    kinds = set()
+    # K = 4 leaves orientation products of points near 2^6 out of range
+    for L, K, emax, side in ((20, 6, 4, 1 << 20), (20, 4, 6, 1 << 20), (6, 5, 3, 4)):
+        spec = GridSpec(L, K, emax)
+        for _ in range(30):
+            n = rng.randint(3, 12)
+            pts = [(grid_float(rng.randint(-side, side), spec), grid_float(rng.randint(-side, side), spec))
+                   for _ in range(n)]
+            calls.clear()
+            counter = geom.EvalCounter()
+            kind, _ = geom.guarded_convex_hull(pts, L, K, emax, counter)
+            kinds.add(kind)
+            assert len(calls) == counter.evaluations
+    assert kinds == {"success", "guard_failure", "range_error"}

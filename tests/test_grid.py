@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from cperturb.grid import (
     compute_emax,
     count_grid,
     enumerate_grid,
+    grid_float,
     grid_unit,
     perturb_object_preserving,
     sample_grid_point,
@@ -63,6 +65,29 @@ class TestEnumerate:
         members = list(enumerate_floats(-2, 2, 2, 3))
         gaps = {b - a for a, b in zip(members, members[1:])}
         assert max(gaps) == spec.tau
+
+
+class TestGridFloat:
+    """grid_float builds lam * tau directly; fl_round of the value is the
+    reference, field by field."""
+
+    @pytest.mark.parametrize("L, K, emax", [(1, 2, 0), (2, 3, 1), (10, 3, 0), (12, 5, 7),
+                                            (53, 11, 200)])
+    def test_equals_fl_round(self, L, K, emax):
+        spec = GridSpec(L, K, emax)
+        edge = 1 << (L + 1)
+        rng = random.Random(L * 1000 + K * 10 + emax)
+        lams = [0, 1, -1, edge, -edge] + [rng.randint(-edge, edge) for _ in range(400)]
+        subnormal = 0
+        for lam in lams:
+            want = fl_round(lam * spec.tau, L, K)
+            got = grid_float(lam, spec)
+            assert (got.sign, got.significand, got.exponent, got.prec, got.expbits) == (
+                want.sign, want.significand, want.exponent, want.prec, want.expbits)
+            subnormal += 0 < want.significand < 1 << L
+        if (L, K, emax) == (10, 3, 0):
+            # tau = 2^-11 and e_min = -3: the smallest points are subnormal
+            assert subnormal > 0
 
 
 class TestSampling:

@@ -14,7 +14,7 @@ import reference_hull
 
 from cperturb.geom import _xy_order, exact_convex_hull, guarded_convex_hull
 from cperturb.grid import compute_emax
-from cperturb.softfloat import exponent_min, fl_round, zero
+from cperturb.softfloat import exponent_min, fl_round, to_pair, zero
 
 
 def rational(rng: random.Random) -> F:
@@ -120,7 +120,7 @@ class TestGuardedHullKeys:
             for i in sorted(range(len(vals)), key=vals.__getitem__):
                 if not expected or vals[i] != vals[expected[-1]]:
                     expected.append(i)
-            assert _xy_order(pts) == expected
+            assert _xy_order([to_pair(c) for pt in pts for c in pt]) == expected
 
     @pytest.mark.parametrize("L, K", [(6, 4), (12, 5), (20, 5)])
     def test_matches_oracle_in_one_F(self, L, K):
