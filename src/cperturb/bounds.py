@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .exact import Exact
-from .expr import Expr, expand_polynomial
+# benchmarks/tracing.py wraps expand_polynomial under this module's name
+from .expr import Expr, expand_polynomial  # noqa: F401
 from .reals import RVal, ceil_log2, nth_root, nth_root_exact, pi_enclosure
 from .errorbounds import safety_lower_multivariate, safety_lower_univariate
 
@@ -327,12 +328,15 @@ class PredicateDescription:
 # --- the BoundSet -------------------------------------------------------------
 
 
-GammaFn = Callable[[Sequence[Fraction]], Union[Fraction, Sym]]
-
-
 @dataclass(frozen=True)
 class BoundSet:
-    """The analysis interface for one predicate description."""
+    """The analysis interface for one predicate description.
+
+    Each bound is held once, as a line form: a closed-form function of
+    lambda on the Gamma-line gamma = lambda * gamma_hat.  The region bound
+    is nu or chi as ``kind`` says, and None where no invertible line form
+    exists (the analysis then raises NotAnalyzable).
+    """
 
     kind: str  # 'nu' | 'chi' | 'empty'
     region_line: Optional[LineForm]
@@ -341,9 +345,6 @@ class BoundSet:
     s_inf_coeff: Optional[Fraction]  # S_inf(L) = coeff * 2^-L
     gamma_hat: tuple[Fraction, ...]
     mu_u: Fraction
-    nu_gamma: Optional[GammaFn] = None
-    chi_gamma: Optional[GammaFn] = None
-    phi_inf_gamma: Optional[GammaFn] = None
     meta: dict = field(default_factory=dict)
 
     def s_inf(self, L: int) -> Fraction:
@@ -363,13 +364,8 @@ class BoundSet:
         return tuple(lam * g for g in self.gamma_hat)
 
 
-def multivariate_sinf_coeff(expr_or_terms, k: int, emax: int) -> Fraction:
-    """Cor.-2 coefficient for a polynomial given as an Expr or a term dict."""
-    terms = (
-        expand_polynomial(expr_or_terms, k)
-        if isinstance(expr_or_terms, Expr)
-        else dict(expr_or_terms)
-    )
+def multivariate_sinf_coeff(terms: dict, emax: int) -> Fraction:
+    """Cor.-2 coefficient for a polynomial given as a term dict."""
     if not terms:
         raise NotAnalyzable("zero polynomial")
     d = max(sum(key) for key in terms)
@@ -459,8 +455,6 @@ def bounds_univariate(coeffs: Sequence[Exact], desc: PredicateDescription) -> tu
         s_inf_coeff=safety_lower_univariate(d, coeffs, desc.emax, 0),
         gamma_hat=gamma_hat,
         mu_u=desc.mu_u,
-        nu_gamma=lambda g: 2 * d * Fraction(g[0]),
-        phi_inf_gamma=lambda g: abs(coeffs[d]) * Fraction(g[0]) ** d,
         meta={"d": d, "coeffs": coeffs},
     )
     return desc, bs
@@ -477,7 +471,8 @@ def bounds_multivariate(
 
     The invertible line form is the cubical specialization
     chi(lambda) = mu(U) * (1 - lambda)^k on gamma_hat = delta/(2*beta_hat),
-    a sound lower bound on the product form.
+    a sound lower bound on the product form.  Non-cubical deltas have no
+    line form, and region_line is None.
     """
     k = desc.n_analysis
     terms = {tuple(key): Fraction(c) for key, c in coeffs.items()}
@@ -495,21 +490,6 @@ def bounds_multivariate(
     gamma_hat = desc.gamma_hat or tuple(dl / (2 * beta_hat) for dl in desc.delta)
     desc = desc.with_gamma_hat(gamma_hat)
 
-    def chi_gamma(g: Sequence[Fraction]) -> Fraction:
-        out = Fraction(1)
-        for dl, bi, gi in zip(desc.delta, beta, g):
-            factor = 2 * (dl - bi * Fraction(gi))
-            if factor <= 0:
-                raise GammaTooLarge(f"need gamma_i < delta_i/beta_i, got {gi}")
-            out *= factor
-        return out
-
-    def phi_gamma(g: Sequence[Fraction]) -> Fraction:
-        out = a_beta
-        for bi, gi in zip(beta, g):
-            out *= Fraction(gi) ** bi
-        return out
-
     phi_coeff = a_beta
     for bi, gh in zip(beta, gamma_hat):
         phi_coeff *= gh ** bi
@@ -525,11 +505,9 @@ def bounds_multivariate(
         region_line=chi_line,
         phi_inf_line=PowerLine(Sym(phi_coeff), beta_star),
         phi_sup_line=ConstLine(Sym(phi_sup_val)),
-        s_inf_coeff=multivariate_sinf_coeff(terms, k, desc.emax),
+        s_inf_coeff=multivariate_sinf_coeff(terms, desc.emax),
         gamma_hat=gamma_hat,
         mu_u=desc.mu_u,
-        chi_gamma=chi_gamma,
-        phi_inf_gamma=phi_gamma,
         meta={
             "beta": beta,
             "beta_star": beta_star,
@@ -560,18 +538,6 @@ def bounds_inbox_direct(
     desc = desc.with_gamma_hat(gamma_hat)
     ghx, ghy = gamma_hat
 
-    def nu_gamma(g: Sequence[Fraction]) -> Fraction:
-        gx, gy = (Fraction(v) for v in g)
-        return 4 * (gx * dy + gy * dx)
-
-    def phi_gamma(g: Sequence[Fraction]) -> Fraction:
-        gx, gy = (Fraction(v) for v in g)
-        tx = abs(gx * gx - gx * wx)
-        ty = abs(gy * gy - gy * wy)
-        if tx == 0 or ty == 0:
-            raise GammaTooLarge("phi vanishes at gamma = |v - u|")
-        return min(tx, ty)
-
     bs = BoundSet(
         kind="nu",
         region_line=PowerLine(Sym(4 * (ghx * dy + ghy * dx)), 1),
@@ -580,8 +546,6 @@ def bounds_inbox_direct(
         s_inf_coeff=_inbox_child_sinf(desc.emax),
         gamma_hat=gamma_hat,
         mu_u=desc.mu_u,
-        nu_gamma=nu_gamma,
-        phi_inf_gamma=phi_gamma,
         meta={"width": (wx, wy)},
     )
     return desc, bs
@@ -609,16 +573,6 @@ def bounds_incircle_direct(
     gamma_hat = desc.gamma_hat or (gh, gh)
     desc = desc.with_gamma_hat(gamma_hat)
 
-    def nu_gamma(g: Sequence[Fraction]) -> Sym:
-        return Sym(4 * Fraction(g[0]) * dmin, 1)
-
-    def phi_gamma(g: Sequence[Fraction]) -> Fraction:
-        gx = Fraction(g[0])
-        val = gx * (2 * r - gx)
-        if val <= 0:
-            raise GammaTooLarge("query distance reached the diameter")
-        return val
-
     phi_sup_val = Fraction(2) ** (2 * desc.emax + 3) + Fraction(2) ** (2 * desc.emax)
     bs = BoundSet(
         kind="nu",
@@ -628,8 +582,6 @@ def bounds_incircle_direct(
         s_inf_coeff=safety_lower_multivariate(2, 7, 2, desc.emax, 0),
         gamma_hat=gamma_hat,
         mu_u=desc.mu_u,
-        nu_gamma=nu_gamma,
-        phi_inf_gamma=phi_gamma,
         meta={"radius": r},
     )
     return desc, bs
@@ -658,24 +610,6 @@ def bounds_inbox_topdown(
     for d in desc.delta:
         prod_delta *= d
 
-    def chi_gamma(g: Sequence[Fraction]) -> Fraction:
-        out = Fraction(1)
-        for d, gi in zip(desc.delta, g):
-            factor = 2 * d - 4 * Fraction(gi)
-            if factor <= 0:
-                raise GammaTooLarge("need 4*gamma_i < 2*delta_i")
-            out *= factor
-        return out
-
-    def phi_gamma(g: Sequence[Fraction]) -> Fraction:
-        vals = []
-        for l, gi in zip(ls, g):
-            gi = Fraction(gi)
-            if gi >= l:
-                raise GammaTooLarge("need gamma_j < l_j")
-            vals.append((2 * l - gi) * gi)
-        return min(vals)
-
     chi_line = AffinePowLine(Sym(prod_delta), Fraction(2), 4 * cfac, k)
     phi_line = MinQuadLine(tuple((2 * l * gh, gh * gh) for l, gh in zip(ls, gamma_hat)))
     centers = tuple(Fraction(c) for c in (center or [0] * k))
@@ -692,8 +626,6 @@ def bounds_inbox_topdown(
         s_inf_coeff=s_coeff,
         gamma_hat=gamma_hat,
         mu_u=desc.mu_u,
-        chi_gamma=chi_gamma,
-        phi_inf_gamma=phi_gamma,
         meta={"half_lengths": ls},
     )
     return desc, bs
@@ -708,13 +640,11 @@ def rule_sandwich(g: BoundSet, c1: Exact, c2: Exact | None = None) -> BoundSet:
     c1 = Fraction(c1)
     if c1 <= 0 or (c2 is not None and Fraction(c2) < c1):
         raise ValueError("need 0 < c1 <= c2")
-    phi_inf_gamma = g.phi_inf_gamma
     c2f = None if c2 is None else Fraction(c2)
     return replace(
         g,
         phi_inf_line=g.phi_inf_line.scaled(c1) if g.phi_inf_line else None,
         phi_sup_line=(g.phi_sup_line.scaled(c2f) if (c2f is not None and g.phi_sup_line) else None),
-        phi_inf_gamma=(lambda gv: c1 * phi_inf_gamma(gv)) if phi_inf_gamma else None,
         s_inf_coeff=None,
         meta=dict(g.meta, rule="sandwich"),
     )
@@ -738,12 +668,15 @@ def rule_product(
 
     phi bounds multiply.  With disjoint arguments (j = l) the complements chi
     multiply; with shared arguments the nu volumes add after scaling by the
-    free directions, capped at mu(U).
+    free directions.  Every operand line is read at the product's lambda, so
+    the shared coordinates need the same gamma_hat in g and h.
     """
     _split_blocks(j, l, k)
     deltas = tuple(Fraction(d) for d in deltas)
     if len(deltas) != k:
         raise IndexSplitInvalid("need one delta per coordinate")
+    if tuple(g.gamma_hat)[j:l] != tuple(h.gamma_hat)[: l - j]:
+        raise ValueError("shared coordinates need the same gamma_hat in g and h")
     mu_u = Fraction(1)
     for d in deltas:
         mu_u *= 2 * d
@@ -759,68 +692,41 @@ def rule_product(
         if g.phi_sup_line and h.phi_sup_line
         else None
     )
-    g_phi, h_phi = g.phi_inf_gamma, h.phi_inf_gamma
-    phi_gamma = (
-        (lambda gv: g_phi(tuple(gv)[:l]) * h_phi(tuple(gv)[j:]))
-        if g_phi and h_phi
-        else None
-    )
 
     if j == l:
-        gc, hc = _chi_of(g), _chi_of(h)
+        kind = "chi"
         region_line = (
             compose_mul(g_chi_line, h_chi_line)
             if (g_chi_line := _chi_line_of(g)) and (h_chi_line := _chi_line_of(h))
             else None
         )
-        chi_gamma = (
-            (lambda gv: gc(tuple(gv)[:j]) * hc(tuple(gv)[j:])) if gc and hc else None
-        )
-        return BoundSet(
-            kind="chi",
-            region_line=region_line,
-            phi_inf_line=phi_line,
-            phi_sup_line=phi_sup_line,
-            s_inf_coeff=s_inf_coeff,
-            gamma_hat=gamma_hat,
-            mu_u=mu_u,
-            chi_gamma=chi_gamma,
-            phi_inf_gamma=phi_gamma,
-            meta={"rule": "product", "split": (j, l, k)},
-        )
-
-    # shared arguments: nu_f = min(mu_u, nu_g * prod_{i>l} 2d_i + nu_h * prod_{i<=j} 2d_i)
-    tail = Fraction(1)
-    for d in deltas[l:]:
-        tail *= 2 * d
-    head = Fraction(1)
-    for d in deltas[:j]:
-        head *= 2 * d
-    g_nu, h_nu = _nu_of(g), _nu_of(h)
-    nu_gamma = (
-        (
-            lambda gv: min(
-                mu_u,
-                _as_rat(g_nu(tuple(gv)[:l])) * tail + _as_rat(h_nu(tuple(gv)[j:])) * head,
-            )
-        )
-        if g_nu and h_nu
-        else None
-    )
-    region_line = None
-    gl, hl = _nu_line_of(g), _nu_line_of(h)
-    if isinstance(gl, PowerLine) and isinstance(hl, PowerLine) and gl.m == hl.m == 1 and gl.c.pi_pow == hl.c.pi_pow:
-        region_line = PowerLine(Sym(gl.c.rat * tail + hl.c.rat * head, gl.c.pi_pow), 1)
+    else:
+        # shared arguments: nu_f = nu_g * prod_{i>l} 2d_i + nu_h * prod_{i<=j} 2d_i
+        kind = "nu"
+        tail = Fraction(1)
+        for d in deltas[l:]:
+            tail *= 2 * d
+        head = Fraction(1)
+        for d in deltas[:j]:
+            head *= 2 * d
+        region_line = None
+        gl, hl = g.region_line, h.region_line
+        if (
+            g.kind == h.kind == "nu"
+            and isinstance(gl, PowerLine)
+            and isinstance(hl, PowerLine)
+            and gl.m == hl.m == 1
+            and gl.c.pi_pow == hl.c.pi_pow
+        ):
+            region_line = PowerLine(Sym(gl.c.rat * tail + hl.c.rat * head, gl.c.pi_pow), 1)
     return BoundSet(
-        kind="nu",
+        kind=kind,
         region_line=region_line,
         phi_inf_line=phi_line,
         phi_sup_line=phi_sup_line,
         s_inf_coeff=s_inf_coeff,
         gamma_hat=gamma_hat,
         mu_u=mu_u,
-        nu_gamma=nu_gamma,
-        phi_inf_gamma=phi_gamma,
         meta={"rule": "product", "split": (j, l, k)},
     )
 
@@ -840,13 +746,6 @@ def rule_minmax(
     if which not in ("min", "max"):
         raise ValueError("which must be 'min' or 'max'")
     base = rule_product(g, h, j, l, k, deltas, s_inf_coeff=s_inf_coeff)
-    pick = min if which == "min" else max
-    g_phi, h_phi = g.phi_inf_gamma, h.phi_inf_gamma
-    phi_gamma = (
-        (lambda gv: pick(_as_rat(g_phi(tuple(gv)[:l])), _as_rat(h_phi(tuple(gv)[j:]))))
-        if g_phi and h_phi
-        else None
-    )
     phi_line = (
         ComboLine((g.phi_inf_line, h.phi_inf_line), which)
         if g.phi_inf_line and h.phi_inf_line
@@ -861,41 +760,8 @@ def rule_minmax(
         base,
         phi_inf_line=phi_line,
         phi_sup_line=phi_sup_line,
-        phi_inf_gamma=phi_gamma,
         meta={"rule": f"{which}", "split": (j, l, k)},
     )
-
-
-def _as_rat(v) -> Fraction:
-    if isinstance(v, Sym):
-        if not v.is_rational:
-            raise NotAnalyzable("irrational value in rational context")
-        return v.rat
-    return Fraction(v)
-
-
-def _nu_of(b: BoundSet) -> Optional[GammaFn]:
-    if b.nu_gamma is not None:
-        return b.nu_gamma
-    if b.chi_gamma is not None:
-        chi = b.chi_gamma
-        return lambda g: b.mu_u - _as_rat(chi(g))
-    return None
-
-
-def _chi_of(b: BoundSet) -> Optional[GammaFn]:
-    if b.chi_gamma is not None:
-        return b.chi_gamma
-    if b.nu_gamma is not None:
-        nu = b.nu_gamma
-        return lambda g: b.mu_u - _as_rat(nu(g))
-    return None
-
-
-def _nu_line_of(b: BoundSet) -> Optional[LineForm]:
-    if b.kind == "nu":
-        return b.region_line
-    return None
 
 
 def _chi_line_of(b: BoundSet) -> Optional[LineForm]:

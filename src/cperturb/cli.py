@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -423,8 +424,18 @@ def cmd_hull(args) -> int:
 # --- entry point -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """No option name starts with a digit or a dot, so every token
+    -<digit>... or -.<digit>... is a value: a negative number such as -1/8
+    or -.5, or a --terms entry -1:1,1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cperturb", description=__doc__)
+    ap = _Parser(prog="cperturb", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     # the predicate flags analyze and simulate share
@@ -437,7 +448,8 @@ def make_parser() -> argparse.ArgumentParser:
     pred.add_argument("--t", default="1/2")
     pred.add_argument("--degree", type=int)
     pred.add_argument("--coeffs", nargs="*", help="a_0 .. a_d for univariate")
-    pred.add_argument("--terms", nargs="*", help="coeff:e1,e2,... for multivariate")
+    pred.add_argument("--terms", nargs="*", action="extend",
+                      help="coeff:e1,e2,... for multivariate; repeats accumulate")
     pred.add_argument("--xbar", nargs="*", help="analysis-coordinate centers")
     pred.add_argument("--corner-u", nargs=2, dest="corner_u")
     pred.add_argument("--corner-v", nargs=2, dest="corner_v")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .softfloat import SoftFloat, _round_scaled, exponent_min, fl_round, is_representable, zero
+from .softfloat import SoftFloat, _round_scaled, exponent_min, is_representable, zero
 
 Exact = Fraction
 
@@ -205,11 +205,7 @@ def sample_grid_values(box: PerturbationBox, spec: GridSpec, rng: SplitMix64) ->
 
 def sample_grid_point(box: PerturbationBox, spec: GridSpec, seed: int) -> tuple[SoftFloat, ...]:
     """Independent uniform grid coordinates; deterministic in the seed."""
-    rng = SplitMix64(seed)
-    values = sample_grid_values(box, spec, rng)
-    floats = tuple(fl_round(v, spec.L, spec.K) for v in values)
-    assert all(f.to_fraction() == v for f, v in zip(floats, values))
-    return floats
+    return GridSampler(box, spec, SplitMix64(seed)).draw_floats()
 
 
 class GridSampler:

@@ -271,3 +271,60 @@ class TestPredicateInput:
         }
         assert options["analyze"] == shared | {"--algorithm", "--p", "--n", "--shape", "--json"}
         assert options["simulate"] == shared | {"--L", "--K", "--trials", "--seed", "--jobs"}
+
+
+class TestNegativeValues:
+    """A token -<digit>... is a value, never an option: negative
+    coefficients, centres and coordinates reach the predicate, and repeated
+    --terms flags accumulate."""
+
+    # at L = 4 some guards fail, so a dropped term shows in the counts
+    RUN = {
+        "analyze": ["--p", "9/10"],
+        "simulate": ["--L", "4", "--K", "8", "--trials", "20", "--seed", "1"],
+    }
+    # x0^2 - x0*x1 in the tree --terms builds, so the guards round alike
+    POLY = "(add (mul (mul -1 x0) x1) (mul (mul 1 x0) x0))\n"
+
+    def output(self, capsys, command, *flags):
+        extra = ["--json"] if command == "analyze" else []
+        assert main([command, *flags, *self.RUN[command], *extra]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(RUN))
+    @pytest.mark.parametrize("terms", [
+        ["--terms", "1:2,0", "-1:1,1"],
+        ["--terms", "1:2,0", "--terms", "-1:1,1"],
+        ["--terms", "1:2,0", "--terms=-1:1,1"],
+        ["--terms=-1:1,1", "--terms", "1:2,0"],
+    ], ids=["one_flag", "repeated", "repeated_equals", "negative_first"])
+    @pytest.mark.parametrize("xbar", [["1", "1/2"], ["-1/2", "1"]], ids=["xbar_pos", "xbar_neg"])
+    def test_terms_match_predicate_file(self, command, terms, xbar, tmp_path, capsys):
+        path = tmp_path / "poly.txt"
+        path.write_text(self.POLY)
+        common = ["--delta", "1/4", "--xbar", *xbar]
+        from_terms = self.output(capsys, command, "--predicate", "multivariate", *terms, *common)
+        assert from_terms == self.output(capsys, command, "--predicate-file", str(path), *common)
+
+    # the analysis reads |a_i| and |centre| only, so these are the same problem
+    @pytest.mark.parametrize("negative,positive", [
+        (["--coeffs", "-1/8", "1/4", "1"], ["--coeffs", "1/8", "1/4", "1"]),
+        (["--coeffs", "1", "-3", "1/2", "--xbar", "-1/2"], ["--coeffs", "1", "3", "1/2", "--xbar", "1/2"]),
+        (["--xbar", "-3/2"], ["--xbar", "3/2"]),
+        (["--xbar", "-.5"], ["--xbar", ".5"]),
+        (["--predicate", "in_circle", "--radius", "5/2", "--delta", "1/4",
+          "--center", "-1/4", "1/2", "--xbar", "-7/4", "5/2"],
+         ["--predicate", "in_circle", "--radius", "5/2", "--delta", "1/4",
+          "--center", "1/4", "1/2", "--xbar", "7/4", "5/2"]),
+    ], ids=["coeffs", "coeffs_xbar", "xbar", "xbar_decimal", "in_circle_center"])
+    def test_mirror_matches_positive(self, negative, positive, capsys):
+        assert self.output(capsys, "analyze", *negative) == self.output(capsys, "analyze", *positive)
+
+    def test_coefficients_reach_the_predicate(self, capsys):
+        from cperturb.geom import make_univariate
+        from cperturb.qr import quantified_relations
+
+        out = self.output(capsys, "analyze", "--coeffs", "-1/8", "1/4", "1")
+        inst = make_univariate((F(-1, 8), F(1, 4), F(1)), center=0, delta=1)
+        req = quantified_relations(inst.desc, inst.bounds, F(9, 10))
+        assert json.loads(out) == req.to_json_dict()

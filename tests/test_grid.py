@@ -120,6 +120,43 @@ class TestSampling:
         with pytest.raises(EmptyGrid):
             sample_grid_point(box, spec, 1)
 
+    @pytest.mark.parametrize("L, K, emax", [(2, 4, 1), (10, 3, 0), (12, 5, 7), (53, 11, 200)])
+    def test_point_equals_rounded_values(self, L, K, emax):
+        # sample_grid_point draws through GridSampler; fl_round of the values
+        # sample_grid_values draws from the same seed is the reference
+        spec = GridSpec(L, K, emax)
+        rng = random.Random(L * 1000 + K * 10 + emax)
+        top = 1 << emax
+        subnormal = 0
+        for trial in range(60):
+            dim = rng.randint(1, 4)
+            center = [F(rng.randint(-64 * top, 64 * top), 64) for _ in range(dim)]
+            radius = [F(rng.randint(0, 64 * top), 64 * rng.choice((1, 2**6, 2**12))) for _ in range(dim)]
+            center = [max(-top + r, min(top - r, c)) for c, r in zip(center, radius)]
+            box = PerturbationBox(center, radius)
+            try:
+                want = sample_grid_values(box, spec, SplitMix64(trial))
+            except EmptyGrid:
+                with pytest.raises(EmptyGrid):
+                    sample_grid_point(box, spec, trial)
+                continue
+            got = sample_grid_point(box, spec, trial)
+            assert len(got) == dim
+            for f, v in zip(got, want):
+                r = fl_round(v, L, K)
+                assert (f.sign, f.significand, f.exponent, f.prec, f.expbits) == (
+                    r.sign, r.significand, r.exponent, r.prec, r.expbits)
+                subnormal += 0 < r.significand < 1 << L
+        if K == 3:
+            # e_min = -3 and tau = 2^-11: boxes near 0 draw subnormal points
+            assert subnormal > 0
+
+    def test_point_empty_in_a_later_coordinate(self):
+        spec = GridSpec(1, 4, 1)  # tau = 1/2
+        box = PerturbationBox((F(1), F(1, 8)), (F(1), F(1, 16)))
+        with pytest.raises(EmptyGrid):
+            sample_grid_point(box, spec, 1)
+
     def test_counting_inequality(self):
         # Example-3 style: |R cap G| / |U cap G| <= mu(R +- tau/2) / mu(U)
         spec = GridSpec(4, 6, 1)

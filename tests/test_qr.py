@@ -3,8 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from cperturb.bounds import NotAnalyzable, PredicateDescription, bounds_multivariate, bounds_univariate
-from cperturb.expr import Input, Mul
+from cperturb.bounds import (
+    BoundSet,
+    ConstLine,
+    NotAnalyzable,
+    PowerLine,
+    PredicateDescription,
+    Sym,
+    bounds_multivariate,
+    bounds_univariate,
+)
+from cperturb.expr import Add, Const, Input, Mul
 from cperturb.geom import make_incircle, make_univariate
 from cperturb.grid import GridSpec, count_grid, grid_unit
 from cperturb.qr import (
@@ -197,3 +206,57 @@ class TestThm1Validation:
                 vol += cur_hi - cur_lo
                 rhs = vol / (2 * delta)
                 assert lhs <= rhs, (roots, gamma, L)
+
+
+class TestEmptyRoute:
+    """kind 'empty': no critical set, so phi is a constant, L_f comes from
+    S_inf alone and there is no grid constraint."""
+
+    PHI = F(3)
+
+    def make(self, phi_line):
+        # x0^2 + 3 never vanishes
+        desc = PredicateDescription(
+            expr=Add(Mul(Input(0), Input(0)), Const(3)), k=1, delta=(F(1),), emax=1
+        )
+        bs = BoundSet(
+            kind="empty",
+            region_line=None,
+            phi_inf_line=phi_line,
+            phi_sup_line=ConstLine(Sym(F(7))),
+            s_inf_coeff=F(100),
+            gamma_hat=(F(1, 2),),
+            mu_u=F(2),
+        )
+        return desc, bs
+
+    def test_requirement(self):
+        desc, bs = self.make(ConstLine(Sym(self.PHI)))
+        for p in (F(1, 10), F(1, 2), F(99, 100)):
+            req = quantified_relations(desc, bs, p)
+            assert req.route == "empty"
+            assert req.L_f == req.L_safe == bs.s_inf_inverse_L(self.PHI) == 6  # ceil(log2(100/3))
+            assert req.L_grid == 0
+            assert req.phi == self.PHI and req.exact
+            assert exponent_requirement(desc, bs, p) == req.K_f
+            assert exponent_requirement(desc, bs, p, L=req.L_f) == req.K_f
+
+    def test_probability_clamps(self):
+        desc, bs = self.make(ConstLine(Sym(self.PHI)))
+        L = quantified_relations(desc, bs, F(1, 2)).L_f
+        K = exponent_requirement(desc, bs, F(1, 2))
+        ok = probability(desc, bs, L, K)
+        assert (ok.p_inf, ok.p_grid, ok.p_sup) == (1, 1, 1)
+        assert {"p_inf", "p_grid"} <= set(ok.clamped)
+        short = probability(desc, bs, L - 1, K)  # S_inf(L - 1) = 100/32 > 3
+        assert (short.p_inf, short.p_grid, short.p_f) == (0, 1, 0)
+        assert {"p_inf", "p_grid"} <= set(short.clamped)
+
+    @pytest.mark.parametrize("phi_line", [PowerLine(Sym(F(3)), 1), ConstLine(Sym(F(3), 1))],
+                             ids=["non_constant", "irrational"])
+    def test_needs_rational_constant_phi(self, phi_line):
+        desc, bs = self.make(phi_line)
+        with pytest.raises(NotAnalyzable):
+            quantified_relations(desc, bs, F(1, 2))
+        with pytest.raises(NotAnalyzable):
+            exponent_requirement(desc, bs, F(1, 2))
