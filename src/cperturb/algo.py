@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from typing import Callable, Optional, Sequence, Union
 
-from .bounds import BoundSet, PredicateDescription
-from .grid import GridSpec, SplitMix64, compute_emax, grid_float
+from .bounds import BoundSet, InadmissibleInput, PredicateDescription
+from .grid import EmptyGrid, GridSampler, GridSpec, SplitMix64, compute_emax
 from .qr import quantified_relations
 from .reals import RVal, ceil_rval, nth_root, pi_enclosure, refine
 from .softfloat import SoftFloat
@@ -53,7 +53,7 @@ class PerturbationShape:
         if self.kind not in ("box", "disc", "ball"):
             raise ValueError(f"unknown shape {self.kind!r}")
         if self.delta <= 0:
-            raise ValueError("delta must be positive")
+            raise InadmissibleInput("delta must be positive")
 
     @property
     def coords_per_object(self) -> int:
@@ -82,7 +82,7 @@ def rho(p: Exact, n_evals: int) -> Fraction:
     """Per-evaluation failure budget (1-p)/N_E."""
     p = Fraction(p)
     if not 0 < p < 1:
-        raise ValueError("p must lie in (0,1)")
+        raise InadmissibleInput("p must lie in (0,1)")
     if n_evals < 1:
         raise ValueError("need at least one evaluation")
     return (1 - p) / n_evals
@@ -157,52 +157,63 @@ class CpRunStats:
         )
 
 
-def _sample_shape_input(
-    ybar: Sequence[tuple[int, int]],
+def _input_drawer(
+    centers: Sequence[tuple[int, int]],
     shape: PerturbationShape,
     delta: Fraction,
     spec: GridSpec,
     rng: SplitMix64,
-) -> Optional[tuple[SoftFloat, ...]]:
-    """One uniform grid point of the full perturbation area; None when a
-    rejection pass found no in-shape grid point after many tries.
-
-    ``ybar`` holds the centre coordinates as (numerator, denominator) pairs.
-    Works on integer grid indices.  The draws follow the order of the
-    coordinate loop, and an empty index range returns None only when the loop
-    reaches its coordinate, so seeded streams repeat exactly.
-    """
-    cpo = shape.coords_per_object
-    if len(ybar) % cpo:
-        raise ValueError("input length does not match the shape's grouping")
+) -> Callable[[], Optional[tuple[SoftFloat, ...]]]:
+    """Draws of one uniform grid point of the perturbation area about the
+    (numerator, denominator) centres: a box draws the whole input in one call,
+    a disc or ball redraws each object until it passes the in-shape test (on
+    integers, every length times S).  None on an empty index range or after
+    4096 failed tries of one object."""
     dn, dd = delta.numerator, delta.denominator
     about = spec.index_range_about
-    ranges = [(lo, hi - lo + 1) for lo, hi in (about(cn, cd, dn, dd) for cn, cd in ybar)]
+    sampler = GridSampler(spec, (about(cn, cd, dn, dd) for cn, cd in centers), rng)
+    box, cpo = shape.kind == "box", shape.coords_per_object
     t = spec.L + 1 - spec.emax  # tau = 2^-t
-    out: list[SoftFloat] = []
-    for base in range(0, len(ybar), cpo):
-        group = ranges[base : base + cpo]
-        if shape.kind != "box":
-            # the disc/ball test on integers: every length times S
-            centers = ybar[base : base + cpo]
-            S = lcm(dd, *(cd for _, cd in centers)) << max(t, 0)
-            unit = S >> t if t >= 0 else S << -t  # S * tau
-            scaled = [cn * (S // cd) for cn, cd in centers]
-            radius2 = (dn * (S // dd)) ** 2
-        for _ in range(4096):
+    tests = []  # per disc or ball: first coordinate, S * tau, S * centre, (S * delta)^2
+    for base in range(0, 0 if box else len(centers), cpo):
+        group = centers[base : base + cpo]
+        S = lcm(dd, *(cd for _, cd in group)) << max(t, 0)
+        unit = S >> t if t >= 0 else S << -t
+        tests.append((base, unit, [cn * (S // cd) for cn, cd in group], (dn * (S // dd)) ** 2))
+
+    def draw():
+        try:
+            if box:
+                return sampler.draw_floats()
             lams = []
-            for lo, span in group:
-                if span <= 0:
+            for base, unit, scaled, radius2 in tests:
+                for _ in range(4096):
+                    group = sampler.draw(base, base + cpo)
+                    if sum((lam * unit - sc) ** 2 for lam, sc in zip(group, scaled)) <= radius2:
+                        lams += group
+                        break
+                else:
                     return None
-                lams.append(lo + rng.uniform_int(span))
-            if shape.kind == "box" or sum(
-                (lam * unit - sc) ** 2 for lam, sc in zip(lams, scaled)
-            ) <= radius2:
-                out.extend(grid_float(lam, spec) for lam in lams)
-                break
-        else:
+            return sampler.floats(lams)
+        except EmptyGrid:
             return None
-    return tuple(out)
+
+    return draw
+
+
+def _psi_growth(psi: tuple[Exact, int]) -> Callable[[int, int, str], tuple[int, int]]:
+    """The psi-augmentation step: K + psi_K after a range error, else L grown
+    to ceil(psi_L * L)."""
+    psi_l, psi_k = Fraction(psi[0]), int(psi[1])
+    if psi_l <= 1 or psi_k < 1:
+        raise InadmissibleInput("need psi_L > 1 and psi_K >= 1")
+
+    def grow(L: int, K: int, kind: str) -> tuple[int, int]:
+        if kind == "range_error":
+            return L, K + psi_k
+        return ceil(psi_l * L), K
+
+    return grow
 
 
 def run_acp(
@@ -222,27 +233,11 @@ def run_acp(
     fail, grow K by psi_K after a range error, else grow L to ceil(psi_L * L).
     Returns (perturbed input, result, stats).
     """
-    psi_l, psi_k = Fraction(psi[0]), int(psi[1])
-    if psi_l <= 1 or psi_k < 1:
-        raise ValueError("need psi_L > 1 and psi_K >= 1")
-
-    def grow(L: int, K: int, kind: str) -> tuple[int, int]:
-        if kind == "range_error":
-            return L, K + psi_k
-        return _ceil_mul(psi_l, L), K
-
     return _acp_loop(
         guarded, ybar, shape, seed, L0, K0, max_rounds,
         eta_runs=eta_runs if eta_runs is not None else eta(shape),
-        grow=grow,
-        delta_schedule=None,
+        grow=_psi_growth(psi),
     )
-
-
-def _ceil_mul(psi_l: Fraction, L: int) -> int:
-    v = psi_l * L
-    n = v.numerator // v.denominator
-    return n if n * v.denominator == v.numerator else n + 1
 
 
 def run_basic_acp(
@@ -260,7 +255,6 @@ def run_basic_acp(
         guarded, ybar, box, seed, L0, K0, max_rounds,
         eta_runs=1,
         grow=lambda L, K, kind: (2 * L, K),
-        delta_schedule=None,
     )
 
 
@@ -283,22 +277,24 @@ def run_acp_delta_variant(
     psi_delta = Fraction(psi_delta)
     delta_min = Fraction(delta_min)
     if psi_delta <= 1:
-        raise ValueError("need psi_delta > 1")
-    psi_l, psi_k = Fraction(psi[0]), int(psi[1])
+        raise InadmissibleInput("need psi_delta > 1")
     er = eta_runs if eta_runs is not None else eta(shape)
     schedule = tuple(delta_min * psi_delta ** i for i in range(er))
     return _acp_loop(
         guarded, ybar, shape, seed, L0, K0, max_rounds,
         eta_runs=er,
-        grow=lambda L, K, kind: (L, K + psi_k) if kind == "range_error" else (_ceil_mul(psi_l, L), K),
+        grow=_psi_growth(psi),
         delta_schedule=schedule,
     )
 
 
 def _acp_loop(
-    guarded, ybar, shape, seed, L0, K0, max_rounds, eta_runs, grow, delta_schedule
+    guarded, ybar, shape, seed, L0, K0, max_rounds, eta_runs, grow, delta_schedule=None
 ):
     ybar = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in ybar]
+    if len(ybar) % shape.coords_per_object:
+        raise ValueError("input length does not match the shape's grouping")
+    deltas = delta_schedule or (shape.delta,) * eta_runs
     delta_max = delta_schedule[-1] if delta_schedule else shape.delta
     emax = compute_emax(ybar, [delta_max] * len(ybar))
     centers = [(c.numerator, c.denominator) for c in ybar]  # read once per run
@@ -314,13 +310,14 @@ def _acp_loop(
         stats.K_sequence.append(K)
         spec = GridSpec(L, K, emax)
         round_kind = "guard_failure"
-        result = None
-        for attempt in range(eta_runs):
+        draw = None
+        for delta in deltas:
             stats.attempts += 1
-            delta = delta_schedule[attempt] if delta_schedule else shape.delta
             if delta_schedule:
                 stats.delta_sequence.append(delta)
-            y = _sample_shape_input(centers, shape, delta, spec, rng)
+            if draw is None or delta_schedule:  # once per (spec, delta)
+                draw = _input_drawer(centers, shape, delta, spec, rng)
+            y = draw()
             if y is None:
                 round_kind = "guard_failure"  # grid too coarse: more bits help
                 continue

@@ -32,6 +32,11 @@ class NotAnalyzable(ValueError):
     """A bound required by the analysis is missing or not invertible."""
 
 
+class InadmissibleInput(ValueError):
+    """A parameter outside its domain, or input that no perturbation can
+    make solvable (a hull of fewer than three points): refused up front."""
+
+
 class GammaTooLarge(ValueError):
     """gamma violates a positivity precondition of a closed form."""
 
@@ -291,9 +296,9 @@ class PredicateDescription:
         if len(self.analysis_indices) != len(self.delta):
             raise ValueError("delta must match analysis coordinates")
         if not 0 < self.t < 1:
-            raise ValueError("t must lie in (0,1)")
+            raise InadmissibleInput("t must lie in (0,1)")
         if any(d <= 0 for d in self.delta):
-            raise ValueError("perturbation parameters must be positive")
+            raise InadmissibleInput("perturbation parameters must be positive")
         box = self.a_box or tuple((Fraction(0), Fraction(0)) for _ in self.delta)
         if len(box) != len(self.delta):
             raise ValueError("a_box must match analysis coordinates")
@@ -303,7 +308,7 @@ class PredicateDescription:
         dom = Fraction(2) ** self.emax
         for (lo, hi), d in zip(self.a_box, self.delta):
             if max(abs(lo - d), abs(hi + d)) > dom:
-                raise ValueError("U_delta(A) leaves [-2^emax, 2^emax]")
+                raise InadmissibleInput("U_delta(A) leaves [-2^emax, 2^emax]")
 
     def with_gamma_hat(self, gamma_hat: tuple[Fraction, ...]) -> "PredicateDescription":
         """This description with gamma_hat set.  __post_init__ never reads

@@ -26,7 +26,7 @@ from .algo import (
     run_acp,
     run_basic_acp,
 )
-from .bounds import NotAnalyzable, RationalPrecision
+from .bounds import InadmissibleInput, NotAnalyzable, RationalPrecision
 from .errorbounds import SignCertified
 from .expr import parse, polynomial_expr
 from .geom import (
@@ -40,7 +40,7 @@ from .geom import (
     make_polynomial,
     make_univariate,
 )
-from .grid import GridSpec, PerturbationBox, SplitMix64, count_grid, sample_grid_values
+from .grid import GridSampler, GridSpec, PerturbationBox, SplitMix64, compute_emax, count_grid
 from .qr import BudgetTooLarge, probability, quantified_relations
 from .reals import is_power_of_two
 from .softfloat import count_floats, float_set_size
@@ -48,11 +48,6 @@ from .softfloat import count_floats, float_set_size
 
 class RefuseEnumeration(ValueError):
     """The requested set is too large to enumerate (more than 10^7 members)."""
-
-
-class InadmissibleInput(ValueError):
-    """Input that no perturbation can make solvable, such as a hull of fewer
-    than three points: the loop would grow L without end."""
 
 
 def frac_str(v: Fraction) -> str:
@@ -133,7 +128,7 @@ def build_predicate(args) -> PredicateInstance:
         pts = _exacts("--xbar", args.xbar, ["0", "0", "1", "0", "0", "1"])
         centers = [pts[i : i + 2] for i in range(0, 6, 2)]
         return make_orientation2d(centers, delta=delta, t=t, emax=args.emax)
-    raise ValueError(f"unknown predicate {name!r}")
+    raise InadmissibleInput(f"unknown predicate {name!r}")
 
 
 def _exacts(flag: str, texts, default: list[str]) -> list[Fraction]:
@@ -170,11 +165,7 @@ def cmd_analyze(args) -> int:
     if args.predicate == "rational":
         return _analyze_rational(args, p)
     inst = build_predicate(args)
-    try:
-        req = quantified_relations(inst.desc, inst.bounds, p)
-    except (NotAnalyzable, BudgetTooLarge) as exc:
-        print(f"not analyzable: {exc}", file=sys.stderr)
-        return 2
+    req = quantified_relations(inst.desc, inst.bounds, p)
     if args.json:
         print(json.dumps(req.to_json_dict(), sort_keys=True))
         return 0
@@ -202,12 +193,8 @@ def _analyze_rational(args, p: Fraction) -> int:
     d_num, d_den = _deltas(args, 2)
     num = make_univariate((0, 1), center=1, delta=d_num, t=t, emax=args.emax)
     den = make_univariate((0, 1), center=1, delta=d_den, t=t, emax=args.emax)
-    try:
-        rn = quantified_relations(num.desc, num.bounds, q)
-        rd = quantified_relations(den.desc, den.bounds, q)
-    except (NotAnalyzable, BudgetTooLarge) as exc:
-        print(f"not analyzable: {exc}", file=sys.stderr)
-        return 2
+    rn = quantified_relations(num.desc, num.bounds, q)
+    rd = quantified_relations(den.desc, den.bounds, q)
     L_f = max(rn.L_f, rd.L_f)
     K_f = max(rn.K_f, rd.K_f)
     if args.json:
@@ -234,8 +221,7 @@ def _analyze_rational(args, p: Fraction) -> int:
 
 def _analyze_algorithm(args, p: Fraction) -> int:
     if args.algorithm != "hull":
-        print(f"unknown algorithm {args.algorithm!r}", file=sys.stderr)
-        return 2
+        raise InadmissibleInput(f"unknown algorithm {args.algorithm!r}")
     n = args.n or 16
     delta = parse_exact(args.delta[0]) if args.delta else Fraction(1, 2)
     shape = PerturbationShape(args.shape or "box", delta)
@@ -245,11 +231,7 @@ def _analyze_algorithm(args, p: Fraction) -> int:
         n_evals=lambda m: 4 * m,
         shape=shape,
     )
-    try:
-        req = distributed_probability(algo, p, n)
-    except (NotAnalyzable, BudgetTooLarge) as exc:
-        print(f"not analyzable: {exc}", file=sys.stderr)
-        return 2
+    req = distributed_probability(algo, p, n)
     payload = {
         "algorithm": "hull",
         "n": n,
@@ -309,16 +291,12 @@ def _simulate_chunk(payload) -> int:
     args_dict, trials, seed = payload
     args = argparse.Namespace(**args_dict)
     inst = build_predicate(args)
-    spec = GridSpec(args.L, args.K, inst.desc.emax)
-    centers = tuple(lo for lo, _ in inst.desc.a_box)
-    box = PerturbationBox(centers, inst.desc.delta)
-    rng = SplitMix64(seed)
+    box = PerturbationBox([lo for lo, _ in inst.desc.a_box], inst.desc.delta)
+    sampler = GridSampler.from_box(box, GridSpec(args.L, args.K, inst.desc.emax), SplitMix64(seed))
     successes = 0
     for _ in range(trials):
-        vals = sample_grid_values(box, spec, rng)
-        verdict = inst.guarded(inst.assemble(vals), args.L, args.K)
-        if isinstance(verdict, SignCertified):
-            successes += 1
+        verdict = inst.guarded(inst.assemble(sampler.values(sampler.draw())), args.L, args.K)
+        successes += isinstance(verdict, SignCertified)
     return successes
 
 
@@ -364,7 +342,7 @@ def read_points_csv(path: str) -> list[tuple[Fraction, Fraction]]:
                 continue
             parts = line.split(",")
             if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'x,y'")
+                raise InadmissibleInput(f"{path}:{line_no}: expected 'x,y'")
             pts.append((parse_exact(parts[0]), parse_exact(parts[1])))
     return pts
 
@@ -377,37 +355,31 @@ def cmd_hull(args) -> int:
     flat = [c for pt in pts for c in pt]
     delta = parse_exact(args.delta)
     shape = PerturbationShape(args.shape, delta)
-    emax_holder = {}
+    emax = compute_emax(flat, [delta] * len(flat))
+    evals = []
 
     def hull_algo(y, L, K):
         grouped = [(y[i], y[i + 1]) for i in range(0, len(y), 2)]
         counter = EvalCounter()
-        out = guarded_convex_hull(grouped, L, K, emax_holder["emax"], counter)
-        emax_holder.setdefault("evals", []).append(counter.evaluations)
+        out = guarded_convex_hull(grouped, L, K, emax, counter)
+        evals.append(counter.evaluations)
         return out
 
-    from .grid import compute_emax
-
-    emax_holder["emax"] = compute_emax(flat, [delta] * len(flat))
     seed = args.seed if args.seed is not None else default_seed()
-    try:
-        if args.basic:
-            y, hull, stats = run_basic_acp(
-                hull_algo, flat, shape, seed=seed, max_rounds=args.max_rounds
-            )
-        else:
-            y, hull, stats = run_acp(
-                hull_algo,
-                flat,
-                shape,
-                psi=(parse_exact(args.psi_l), args.psi_k),
-                seed=seed,
-                max_rounds=args.max_rounds,
-            )
-    except IterationCapExceeded as exc:
-        print(f"iteration cap exceeded: {exc}", file=sys.stderr)
-        return 3
-    stats.eval_counts = emax_holder.get("evals", [])
+    if args.basic:
+        y, hull, stats = run_basic_acp(
+            hull_algo, flat, shape, seed=seed, max_rounds=args.max_rounds
+        )
+    else:
+        y, hull, stats = run_acp(
+            hull_algo,
+            flat,
+            shape,
+            psi=(parse_exact(args.psi_l), args.psi_k),
+            seed=seed,
+            max_rounds=args.max_rounds,
+        )
+    stats.eval_counts = evals
     payload = {
         "hull": list(canonical_cycle(hull)),
         "eta": shape_eta(shape),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from .softfloat import SoftFloat, _round_scaled, exponent_min, is_representable, zero
 
@@ -191,40 +191,57 @@ class PerturbationBox:
 
 def sample_grid_values(box: PerturbationBox, spec: GridSpec, rng: SplitMix64) -> list[Fraction]:
     """One uniform grid point per coordinate interval, as exact rationals."""
-    tau = spec.tau
-    out = []
-    for i in range(box.dimension):
-        a, b = box.interval(i)
-        lo, hi = spec.index_range(a, b)
-        if hi < lo:
-            raise EmptyGrid(f"no grid point in coordinate {i} interval [{a}, {b}]")
-        lam = lo + rng.uniform_int(hi - lo + 1)
-        out.append(lam * tau)
-    return out
+    sampler = GridSampler.from_box(box, spec, rng)
+    return sampler.values(sampler.draw())
 
 
 def sample_grid_point(box: PerturbationBox, spec: GridSpec, seed: int) -> tuple[SoftFloat, ...]:
     """Independent uniform grid coordinates; deterministic in the seed."""
-    return GridSampler(box, spec, SplitMix64(seed)).draw_floats()
+    return GridSampler.from_box(box, spec, SplitMix64(seed)).draw_floats()
 
 
 class GridSampler:
-    """Repeated sampling from one box at one grid: index ranges precomputed,
-    coordinates built directly from their integer grid index."""
+    """The one draw loop: uniform grid points of one grid from a SplitMix64
+    stream, each coordinate's index range computed once.
 
-    def __init__(self, box: PerturbationBox, spec: GridSpec, rng: SplitMix64):
+    A draw takes one index per coordinate, in coordinate order.  A range with
+    no grid point raises EmptyGrid when its coordinate is reached, after the
+    earlier coordinates have drawn, so every path consumes a seeded stream
+    alike.  values() and floats() turn indices into exact rationals or into
+    members of F_{L,K}.
+    """
+
+    def __init__(self, spec: GridSpec, ranges: Iterable[tuple[int, int]], rng: SplitMix64):
+        """``ranges``: inclusive (lo, hi) index pairs, as index_range gives."""
         self.spec = spec
         self.rng = rng
-        self.ranges = []
-        for i in range(box.dimension):
-            a, b = box.interval(i)
-            lo, hi = spec.index_range(a, b)
-            if hi < lo:
-                raise EmptyGrid(f"no grid point in coordinate {i} interval [{a}, {b}]")
-            self.ranges.append((lo, hi - lo + 1))
+        self.ranges = [(lo, hi - lo + 1) for lo, hi in ranges]  # (lo, span)
+
+    @classmethod
+    def from_box(cls, box: PerturbationBox, spec: GridSpec, rng: SplitMix64) -> "GridSampler":
+        return cls(spec, (spec.index_range(*box.interval(i)) for i in range(box.dimension)), rng)
+
+    def draw(self, start: int = 0, stop: Optional[int] = None) -> list[int]:
+        """One uniform grid index for each coordinate in start..stop-1."""
+        uniform = self.rng.uniform_int
+        lams = []
+        for lo, span in self.ranges[start:stop]:
+            if span <= 0:
+                tau = self.spec.tau
+                raise EmptyGrid(f"coordinate {start + len(lams)}: no multiple of tau = {tau}")
+            lams.append(lo + uniform(span))
+        return lams
+
+    def values(self, lams: Iterable[int]) -> list[Fraction]:
+        tau = self.spec.tau
+        return [lam * tau for lam in lams]
+
+    def floats(self, lams: Iterable[int]) -> tuple[SoftFloat, ...]:
+        spec = self.spec
+        return tuple(grid_float(lam, spec) for lam in lams)
 
     def draw_floats(self) -> tuple[SoftFloat, ...]:
-        return tuple(grid_float(lo + self.rng.uniform_int(span), self.spec) for lo, span in self.ranges)
+        return self.floats(self.draw())
 
 
 @dataclass(frozen=True)
@@ -262,8 +279,7 @@ def perturb_object_preserving(
     """
     if box.dimension != len(obj.anchor):
         raise ValueError("box does not match anchor dimension")
-    rng = SplitMix64(seed)
-    anchor = tuple(sample_grid_values(box, spec, rng))
+    anchor = tuple(sample_grid_values(box, spec, SplitMix64(seed)))
     rows = [anchor]
     for row in obj.measurements:
         shifted = tuple(a + m for a, m in zip(anchor, row))

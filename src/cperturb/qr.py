@@ -29,8 +29,10 @@ from typing import Optional, Sequence, Union
 from .bounds import (
     BoundSet,
     ConstLine,
+    InadmissibleInput,
     NotAnalyzable,
     PredicateDescription,
+    Sym,
 )
 from .errorbounds import UnsupportedNode, value_quantum
 from .reals import (
@@ -150,19 +152,24 @@ def _budget(desc: PredicateDescription, bounds: BoundSet, p: Fraction) -> Fracti
     return (1 - p) * bounds.mu_u if bounds.kind == "nu" else p * bounds.mu_u
 
 
+def _empty_phi(bounds: BoundSet) -> Sym:
+    """The constant phi of an empty critical set, where nu never vanishes."""
+    if not isinstance(bounds.phi_inf_line, ConstLine):
+        raise NotAnalyzable("empty critical set needs a constant phi")
+    return bounds.phi_inf_line.c
+
+
 def quantified_relations(
     desc: PredicateDescription, bounds: BoundSet, p: Exact
 ) -> ArithmeticRequirement:
     """Derive the arithmetic requirement (L_f(p), K_f(p)) with full trace."""
     p = Fraction(p)
     if not 0 < p < 1:
-        raise ValueError("p must lie in (0,1)")
+        raise InadmissibleInput("p must lie in (0,1)")
     t = desc.t
 
     if bounds.kind == "empty":
-        if not isinstance(bounds.phi_inf_line, ConstLine):
-            raise NotAnalyzable("empty critical set needs a constant phi")
-        phi_sym = bounds.phi_inf_line.c
+        phi_sym = _empty_phi(bounds)
         if not phi_sym.is_rational:
             raise NotAnalyzable("irrational constant phi")
         phi = phi_sym.rat
@@ -308,7 +315,7 @@ def probability(
         return min(p.lo, Fraction(1))
 
     if bounds.kind == "empty":
-        phi_const = bounds.phi_inf_line.c
+        phi_const = _empty_phi(bounds)
         p_inf = Fraction(1) if RVal(bounds.s_inf(L)).hi < phi_const.to_rval(bits).lo else Fraction(0)
         clamped.append("p_inf")
         p_grid = Fraction(1)

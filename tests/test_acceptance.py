@@ -148,7 +148,7 @@ def _draw_stream(n_draws: int, master_seed: int):
             spec = GridSpec(L, K, inst.desc.emax)
             centers = tuple(lo for lo, _ in inst.desc.a_box)
             box = PerturbationBox(centers, inst.desc.delta)
-            samplers[key] = GridSampler(box, spec, SplitMix64(master_seed ^ hash(key)))
+            samplers[key] = GridSampler.from_box(box, spec, SplitMix64(master_seed ^ hash(key)))
         pts = samplers[key].draw_floats()
         yield inst, L, K, pts
 
@@ -229,7 +229,7 @@ def test_criterion_7_calibration():
             req = quantified_relations(inst.desc, inst.bounds, p)
             spec = GridSpec(req.L_f, req.K_f, inst.desc.emax)
             centers = tuple(lo for lo, _ in inst.desc.a_box)
-            sampler = GridSampler(
+            sampler = GridSampler.from_box(
                 PerturbationBox(centers, inst.desc.delta), spec, SplitMix64(7_000 + req.L_f)
             )
             successes = 0

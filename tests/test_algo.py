@@ -230,6 +230,18 @@ class TestDeltaVariant:
         assert stats.delta_sequence[:3] == [F(1, 4), F(1, 2), F(1)]
         assert stats.delta_sequence[3] == F(1, 4)  # reset on the next round
 
+    @pytest.mark.parametrize("psi", [(1, 8), (2, 0)])
+    def test_psi_checked_like_run_acp(self, psi):
+        # psi_L = 1 would rerun every round at L0 until the round cap
+        shape = PerturbationShape("box", F(1, 4))
+        with pytest.raises(ValueError, match="need psi_L > 1 and psi_K >= 1"):
+            run_acp(scripted(["guard_failure"]), [F(0)], shape, psi=psi, max_rounds=3)
+        with pytest.raises(ValueError, match="need psi_L > 1 and psi_K >= 1"):
+            run_acp_delta_variant(
+                scripted(["guard_failure"]), [F(0)], shape,
+                psi_delta=2, delta_min=F(1, 4), psi=psi, max_rounds=3,
+            )
+
 
 def hull_guarded(emax):
     def algo(y, L, K):

@@ -93,6 +93,27 @@ class TestAnalyze:
         assert code == 2
 
 
+class TestInadmissibleParameters:
+    """Parameters outside their domain end with exit 2 and one line, no
+    traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--p", "2"], "p must lie in (0,1)"),
+        (["analyze", "--delta", "0", "--p", "1/2"], "perturbation parameters must be positive"),
+        (["analyze", "--t", "2", "--p", "1/2"], "t must lie in (0,1)"),
+        (["simulate", "--delta", "0", "--L", "8", "--K", "4", "--trials", "3"],
+         "perturbation parameters must be positive"),
+        (["analyze", "--algorithm", "hull", "--p", "2"], "p must lie in (0,1)"),
+        (["analyze", "--algorithm", "hull", "--delta", "0", "--p", "1/2"], "delta must be positive"),
+        (["analyze", "--algorithm", "tsp", "--p", "1/2"], "unknown algorithm 'tsp'"),
+        (["analyze", "--predicate", "tsp", "--p", "1/2"], "unknown predicate 'tsp'"),
+    ], ids=["analyze_p", "analyze_delta", "analyze_t", "simulate_delta", "algorithm_p",
+            "algorithm_delta", "unknown_algorithm", "unknown_predicate"])
+    def test_exit_two(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"inadmissible input: {message}\n"
+
+
 class TestSimulate:
     def test_header_only(self, capsys):
         main(["simulate", "--predicate", "univariate", "--degree", "2", "--L", "16",
@@ -177,6 +198,17 @@ class TestHull(object):
         assert main(["hull", "--input", path, "--delta", "1/4", "--seed", "3", "--basic"]) == 0
         d = json.loads(capsys.readouterr().out)
         assert d["stats"]["rounds"] >= 1
+
+    @pytest.mark.parametrize("rows, flags, message", [
+        (["0,0", "4,0", "0,4"], ["--psi-l", "1"], "need psi_L > 1 and psi_K >= 1"),
+        (["0,0", "4,0", "0,4"], ["--psi-k", "0"], "need psi_L > 1 and psi_K >= 1"),
+        (["0,0", "4,0,1", "0,4"], [], "pts.csv:2: expected 'x,y'"),
+    ], ids=["psi_l", "psi_k", "csv_row"])
+    def test_inadmissible_exit_two(self, tmp_path, capsys, rows, flags, message):
+        path = self.write_points(tmp_path, rows)
+        assert main(["hull", "--input", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("inadmissible input: ") and err.endswith(f"{message}\n")
 
     def test_reject_non_dyadic_point(self, tmp_path):
         path = self.write_points(tmp_path, ["0.1,0"])

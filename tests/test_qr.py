@@ -6,6 +6,7 @@ import pytest
 from cperturb.bounds import (
     BoundSet,
     ConstLine,
+    MinQuadLine,
     NotAnalyzable,
     PowerLine,
     PredicateDescription,
@@ -260,3 +261,12 @@ class TestEmptyRoute:
             quantified_relations(desc, bs, F(1, 2))
         with pytest.raises(NotAnalyzable):
             exponent_requirement(desc, bs, F(1, 2))
+
+    @pytest.mark.parametrize("phi_line", [PowerLine(Sym(F(3)), 1), MinQuadLine(((F(3), F(1)),))],
+                             ids=["power", "min_quad"])
+    def test_probability_needs_constant_phi(self, phi_line):
+        desc, bs = self.make(phi_line)
+        for call in (lambda: quantified_relations(desc, bs, F(1, 2)),
+                     lambda: probability(desc, bs, 8, 8)):
+            with pytest.raises(NotAnalyzable, match="^empty critical set needs a constant phi$"):
+                call()
