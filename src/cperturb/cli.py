@@ -40,7 +40,7 @@ from .geom import (
     make_polynomial,
     make_univariate,
 )
-from .grid import GridSampler, GridSpec, PerturbationBox, SplitMix64, compute_emax, count_grid
+from .grid import EmptyGrid, GridSampler, GridSpec, PerturbationBox, SplitMix64, compute_emax, count_grid
 from .qr import BudgetTooLarge, probability, quantified_relations
 from .reals import is_power_of_two
 from .softfloat import count_floats, float_set_size
@@ -66,19 +66,17 @@ def dec_str(v: Fraction, places: int = 9) -> str:
 
 
 def parse_exact(text: str) -> Fraction:
-    """p/q, integer, or dyadic decimal.  Non-dyadic decimals are rejected so
-    no silently unrepresentable coordinate enters the pipeline."""
+    """p/q, integer, or dyadic decimal.  Non-dyadic decimals and non-numbers
+    are rejected so no silently unrepresentable coordinate enters the pipeline."""
     text = text.strip()
-    if "/" in text:
-        return Fraction(text)
-    if "." in text or "e" in text.lower():
-        v = Fraction(text)
-        if not is_power_of_two(Fraction(v.denominator)):
-            raise ValueError(
-                f"{text!r} is not a dyadic rational; write it as p/q to mean exactly p/q"
-            )
-        return v
-    return Fraction(int(text))
+    decimal = "/" not in text and ("." in text or "e" in text.lower())
+    try:
+        v = Fraction(text) if "/" in text or decimal else Fraction(int(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InadmissibleInput(f"{text!r} is not an integer, p/q or decimal number") from exc
+    if decimal and not is_power_of_two(Fraction(v.denominator)):
+        raise InadmissibleInput(f"{text!r} is not a dyadic rational; write it as p/q to mean exactly p/q")
+    return v
 
 
 def default_seed() -> int:
@@ -311,12 +309,13 @@ def cmd_simulate(args) -> int:
         for j in range(jobs)
     ]
     chunks = [c for c in chunks if c[1] > 0]
-    if jobs == 1 or len(chunks) <= 1:
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         successes = sum(_simulate_chunk(c) for c in chunks)
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             successes = sum(pool.map(_simulate_chunk, chunks))
     try:
         rep = probability(inst.desc, inst.bounds, L, K)
@@ -475,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RefuseEnumeration as exc:
         print(f"refusing enumeration: {exc}", file=sys.stderr)
         return 2
-    except InadmissibleInput as exc:
+    except (InadmissibleInput, EmptyGrid) as exc:
         print(f"inadmissible input: {exc}", file=sys.stderr)
         return 2
     except (NotAnalyzable, BudgetTooLarge) as exc:

@@ -31,6 +31,11 @@ the certify test |v| > min(ind * dynsup * 2^-L, static) is an integer
 shift-compare; the static bound is computed only when that test fails and is
 then cached per (block, emax, L).  A block holding a non-dyadic constant
 carries its dynamic sup as an exact Fraction instead.
+
+A block with only dyadic constants first runs an exact stage on the same
+alignment templates for E, its exact value.  With inputs in [-2^emax, 2^emax]
+and no range error possible (_Block._range_safe), |fl(E) - E| <= B, the
+static bound, so |E| > 2B means the rounded block would certify sign E.
 """
 
 from __future__ import annotations
@@ -180,8 +185,8 @@ _ROUND = """\
         q{i} = 0
 """
 
-_VALUE = {
-    Input: "    M{i}, q{i} = xs[{k}]\n",
+# The exact value t * 2^u of each arithmetic step, before any rounding.
+_ALIGN = {
     Add: """\
     if q{a} <= q{b}:
         t = M{a} + (M{b} << (q{b} - q{a}))
@@ -189,7 +194,7 @@ _VALUE = {
     else:
         t = (M{a} << (q{a} - q{b})) + M{b}
         u = q{b}
-""" + _ROUND,
+""",
     Sub: """\
     if q{a} <= q{b}:
         t = M{a} - (M{b} << (q{b} - q{a}))
@@ -197,11 +202,16 @@ _VALUE = {
     else:
         t = (M{a} << (q{a} - q{b})) - M{b}
         u = q{b}
-""" + _ROUND,
+""",
     Mul: """\
     t = M{a} * M{b}
     u = q{a} + q{b}
-""" + _ROUND,
+""",
+}
+
+_VALUE = {
+    Input: "    M{i}, q{i} = xs[{k}]\n",
+    **{kind: step + _ROUND for kind, step in _ALIGN.items()},
     Abs: """\
     M{i} = M{a} if M{a} >= 0 else -M{a}
     q{i} = q{a}
@@ -221,6 +231,19 @@ _VALUE = {
     else:
         M{i} = M{b}
         q{i} = q{b}
+""",
+}
+
+# The exact stage: the block on exact pairs, constants exact in X; None for an
+# input not below 2^H or not a multiple of 2^Q (trailing zeros count if q < Q).
+_EXACT = {
+    **_VALUE,
+    **{kind: step + "    M{i} = t\n    q{i} = u\n" for kind, step in _ALIGN.items()},
+    Const: "    M{i}, q{i} = X[{k}]\n",
+    Input: """\
+    M{i}, q{i} = xs[{k}]
+    if M{i} and (q{i} + M{i}.bit_length() > H or q{i} < Q and q{i} + (M{i} & -M{i}).bit_length() <= Q):
+        return None
 """,
 }
 
@@ -284,8 +307,8 @@ def block(xs, L, K, C):
 _DYADIC_TAIL = "    return M{i}, q{i}, D{i}, E{i}, 1, C[-1]\n"
 _RATIONAL_TAIL = "    return M{i}, q{i}, S{i}.numerator, 0, S{i}.denominator, C[-1]\n"
 
-# per-block caches of constant tables (per L, K) and static bounds (per emax, L)
-# are cleared when they reach this size
+# per-block caches of constant tables (per L, K), static bounds (per emax, L)
+# and range-safe records (per emax, L, K) are cleared when they reach this size
 _CACHE_LIMIT = 256
 
 
@@ -323,6 +346,7 @@ class _Block:
         )
         sup = _RATIONAL_SUP if self.rational else _DYADIC_SUP
         lines = [_HEAD]
+        exact = ["def exact(xs, Q, H):\n"]
 
         def emit(n: Expr) -> int:
             kind = type(n)
@@ -344,21 +368,27 @@ class _Block:
             if kind is not Const:
                 lines.append(_VALUE[kind].format(i=i, k=k, a=a, b=b))
             lines.append(sup[kind].format(i=i, k=k, a=a, b=b))
+            exact.append(_EXACT[kind].format(i=i, k=k, a=a, b=b))
             return i
 
         root = emit(node)
         lines.append((_RATIONAL_TAIL if self.rational else _DYADIC_TAIL).format(i=root))
+        if not self.rational:  # a non-dyadic constant has no exact pair
+            lines += exact + [f"    return M{root}, q{root}\n"]
         namespace = {
             "RangeError": RangeError,
             "_edge": _edge,
             "_magnitude": _magnitude,
             "_OP_NAMES": _OP_NAMES,
+            "X": [(c.numerator, 1 - c.denominator.bit_length()) for c in self.consts],
         }
         exec(compile("".join(lines), "<compiled guard block>", "exec"), namespace)
         self._run = namespace["block"]
+        self._exact = namespace.get("exact")
         self._plan = plan
         self._tables: dict = {}
         self._static: dict = {}
+        self._safe: dict = {}
         # with no constants the table holds only the block's ind, for every L, K
         self._fixed = None if self.consts else (self._ind([]),)
 
@@ -417,7 +447,58 @@ class _Block:
             b = self._static[(emax, L)] = (s.numerator, s.denominator)
         return b
 
+    def _range_safe(self, emax: int, L: int, K: int) -> Optional[tuple[int, int, int]]:
+        """(Q_safe, 2B) as (Q_safe, numerator, denominator), B the static bound,
+        when no range error can occur at (emax, L, K) for inputs below 2^emax
+        that are multiples of 2^Q_safe; else None.  No overflow: a rounded node
+        is at most sup * (1 + 2^-L)^ind <= sup * e^(1/2) < 2 * sup once
+        ind <= 2^(L-1), so 2 * sup <= 2^(2^(K-1)) at each node, sup (annotate's
+        rules) rounded up to 2^top.  No inexact underflow: each node's value
+        quantum, the least d * Q + c over its parts {degree d: exponent c}, is
+        at least e_min - L (value_quantum's rule); rounding keeps a quantum."""
+        record = None
+        table = self._fixed or self._table(L, K)
+        if None not in table and table[-1] <= 1 << (L - 1):
+            emx, target = 1 << (K - 1), -(1 << (K - 1)) + 1 - L
+            tops, terms = [], []  # per node: top, and the quantum's parts
+            consts = iter(table[:-1])
+            for kind, kids in self._plan:
+                if kind is Input:
+                    top, parts = emax, [(1, 0)]
+                elif kind is Const:
+                    M, q, D, E = next(consts)
+                    top, parts = E + D.bit_length(), [(0, q + (M & -M).bit_length() - 1)] if M else []
+                elif kind is Mul:
+                    a, b = kids
+                    top = tops[a] + tops[b]
+                    parts = [(da + db, ca + cb) for da, ca in terms[a].items() for db, cb in terms[b].items()]
+                else:  # Add and Sub double the sup; Abs, Min and Max keep it
+                    top = max(tops[k] for k in kids) + (kind in (Add, Sub))
+                    parts = [p for k in kids for p in terms[k].items()]
+                if top >= emx or any(not d and c < target for d, c in parts):
+                    break
+                tops.append(top)
+                terms.append(dict(sorted(parts, reverse=True)))  # per degree, the least exponent
+            else:
+                num, den = self._static_bound(emax, L)
+                Q = max((-((c - target) // d) for t in terms for d, c in t.items() if d), default=target)
+                record = (Q, 2 * num, den)
+        if len(self._safe) >= _CACHE_LIMIT:
+            self._safe.clear()
+        self._safe[(emax, L, K)] = record
+        return record
+
     def verdict(self, xs: list, L: int, K: int, emax: int) -> "GuardVerdict":
+        # the exact stage: |E| > 2B settles the sign as the rounded block would
+        safe = self._safe.get((emax, L, K), False) if self._exact else None
+        if safe is False:
+            safe = self._range_safe(emax, L, K)
+        exact = safe and self._exact(xs, safe[0], emax)
+        if exact:
+            (M, q), (_, num, den) = exact, safe
+            a = M if M > 0 else -M
+            if (a * den << q > num) if q >= 0 else (a * den > num << -q):
+                return _POSITIVE if M > 0 else _NEGATIVE
         try:
             M, q, D, E, R, ind = self._run(xs, L, K, self._fixed or self._table(L, K))
         except RangeError as exc:

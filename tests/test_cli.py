@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cperturb.bounds import InadmissibleInput
 from cperturb.cli import main, parse_exact
 
 
@@ -28,8 +29,13 @@ class TestParseExact:
         assert parse_exact("-1.25") == F(-5, 4)
 
     def test_non_dyadic_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InadmissibleInput):
             parse_exact("0.1")
+
+    @pytest.mark.parametrize("text", ["abc", "1/0", "1/x", "0.5.5", ""])
+    def test_not_a_number_rejected(self, text):
+        with pytest.raises(InadmissibleInput, match="is not an integer, p/q or decimal number"):
+            parse_exact(text)
 
 
 class TestEnumerate:
@@ -107,8 +113,13 @@ class TestInadmissibleParameters:
         (["analyze", "--algorithm", "hull", "--delta", "0", "--p", "1/2"], "delta must be positive"),
         (["analyze", "--algorithm", "tsp", "--p", "1/2"], "unknown algorithm 'tsp'"),
         (["analyze", "--predicate", "tsp", "--p", "1/2"], "unknown predicate 'tsp'"),
+        (["analyze", "--p", "abc"], "'abc' is not an integer, p/q or decimal number"),
+        (["analyze", "--p", "1/0"], "'1/0' is not an integer, p/q or decimal number"),
+        (["simulate", "--delta", "1/1000", "--xbar", "1/3", "--L", "2", "--K", "4", "--trials", "3"],
+         "coordinate 0: no multiple of tau = 1/8"),
     ], ids=["analyze_p", "analyze_delta", "analyze_t", "simulate_delta", "algorithm_p",
-            "algorithm_delta", "unknown_algorithm", "unknown_predicate"])
+            "algorithm_delta", "unknown_algorithm", "unknown_predicate", "p_not_a_number",
+            "p_zero_denominator", "simulate_empty_grid"])
     def test_exit_two(self, argv, message, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"inadmissible input: {message}\n"
@@ -129,6 +140,41 @@ class TestSimulate:
         main(args)
         b = capsys.readouterr().out
         assert a == b
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (64, 3), (1, None), (None, None)])
+    def test_workers_bounded(self, monkeypatch, capsys, cpus, workers):
+        # --jobs 8 asks for eight; the pool gets no more than the non-empty
+        # chunks and the CPUs, and none at all for one worker.  The fake
+        # pool maps in this process, so no process is started.
+        import multiprocessing
+        import os
+
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        argv = ["simulate", "--predicate", "univariate", "--degree", "2", "--L", "16", "--K", "8",
+                "--trials", "3", "--seed", "5", "--delta", "1", "--jobs", "8"]
+        assert main(argv) == 0
+        assert started == ([] if workers is None else [workers])
+        out = capsys.readouterr().out
+        # the chunks and their seeds do not depend on the number of workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
     def test_no_region_line_prints_na(self, capsys):
         # non-cubical deltas leave the multivariate region bound without a line form
@@ -210,10 +256,10 @@ class TestHull(object):
         err = capsys.readouterr().err
         assert err.startswith("inadmissible input: ") and err.endswith(f"{message}\n")
 
-    def test_reject_non_dyadic_point(self, tmp_path):
+    def test_reject_non_dyadic_point(self, tmp_path, capsys):
         path = self.write_points(tmp_path, ["0.1,0"])
-        with pytest.raises(ValueError):
-            main(["hull", "--input", path, "--delta", "1/4"])
+        assert main(["hull", "--input", path, "--delta", "1/4"]) == 2
+        assert capsys.readouterr().err.startswith("inadmissible input: '0.1' is not a dyadic rational")
 
 
 class TestSeedEnv:

@@ -1,0 +1,213 @@
+"""The exact stage of compiled guard blocks never changes a verdict.
+
+A dyadic block first evaluates its expression exactly; when no range error
+can occur at (emax, L, K) and |E| exceeds twice the static bound B, it
+certifies sign E and skips the rounded block.  These tests compare every
+verdict with the tree-walking reference, and check at the stage's
+boundaries (|E| = 2B, the overflow margin, the input quantum, constants
+that leave F_{L,K}, non-dyadic constants) which stage decided.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from reference_guard import reference_guarded_eval
+
+from cperturb.errorbounds import (
+    GuardFailed,
+    RangeErrorVerdict,
+    SignCertified,
+    _Block,
+    _guard_of,
+    _input_pairs,
+    guarded_eval,
+)
+from cperturb.expr import Abs, Add, Const, Input, Max, Min, Mul, Sub
+from cperturb.geom import orientation2d_expr
+from cperturb.grid import GridSpec, grid_float
+from cperturb.softfloat import SoftFloat, exponent_max, exponent_min
+
+# dyadic constants, some not representable at small L (2^40 + 1, 12345/4096)
+# or outside F_{L,K} at small K (2^40 + 1, 2^-40, 2^-200)
+CONSTANTS = (F(0), F(1), F(-3, 4), F(5, 8), F(12345, 4096), F(2) ** 40 + 1, F(2) ** -40,
+             F(2) ** -200, F(-7, 2))
+
+
+def smallest_k(emax: int) -> int:
+    """The least K with emax + 1 < 2^(K-1), as the grid requires."""
+    K = 2
+    while emax + 1 >= 1 << (K - 1):
+        K += 1
+    return K
+
+
+@st.composite
+def members(draw, L, K):
+    """Any member of F_{L,K}: zero, subnormal or normal, of either sign."""
+    sign = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("zero", "subnormal", "normal", "normal")))
+    if kind == "zero":
+        return SoftFloat(1, 0, exponent_min(K), L, K)
+    if kind == "subnormal":
+        return SoftFloat(sign, draw(st.integers(1, (1 << L) - 1)), exponent_min(K), L, K)
+    m = draw(st.integers(1 << L, (1 << (L + 1)) - 1))
+    return SoftFloat(sign, m, draw(st.integers(exponent_min(K), exponent_max(K))), L, K)
+
+
+@st.composite
+def cases(draw):
+    k = draw(st.integers(1, 4))
+    leaf = st.one_of(
+        st.integers(0, k - 1).map(Input),
+        st.integers(0, k - 1).map(Input),
+        st.sampled_from(CONSTANTS).map(Const),
+    )
+
+    def extend(kids):
+        binary = st.tuples(st.sampled_from((Add, Sub, Mul, Add, Sub, Mul, Min, Max)), kids, kids)
+        return st.one_of(binary.map(lambda t: t[0](t[1], t[2])), kids.map(Abs))
+
+    e = draw(st.recursive(leaf, extend, max_leaves=10))
+    L = draw(st.integers(2, 60))
+    emax = draw(st.integers(0, 40))
+    K = smallest_k(emax) + draw(st.integers(0, 3))
+    spec = GridSpec(L, K, emax)
+    edge = 1 << (L + 1)
+    grid = st.integers(-edge, edge).map(lambda lam: grid_float(lam, spec))
+    xs = [draw(st.one_of(grid, grid, members(L, K))) for _ in range(k)]
+    form = draw(st.sampled_from(("softfloat", "fraction", "pairs")))
+    if form == "fraction":
+        xs = [v.to_fraction() for v in xs]
+    return e, xs, L, K, emax, form
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_verdict_equals_reference(case):
+    e, xs, L, K, emax, form = case
+    expected = reference_guarded_eval(e, xs, L, K, emax)
+    if form == "pairs":
+        assert guarded_eval(e, _input_pairs(xs, L, K), L, K, emax, pairs=True) == expected
+    else:
+        assert guarded_eval(e, xs, L, K, emax) == expected
+
+
+@pytest.fixture
+def rounded_runs(monkeypatch):
+    """Counts the calls of every block's rounded function."""
+    calls = []
+    init = _Block.__init__
+
+    def counting_init(self, node):
+        init(self, node)
+        run = self._run
+
+        def counted(*args):
+            calls.append(node)
+            return run(*args)
+
+        self._run = counted
+
+    monkeypatch.setattr(_Block, "__init__", counting_init)
+    return calls
+
+
+def verdict_and_stage(e, xs, L, K, emax, calls):
+    """The verdict, checked against the reference, and whether the rounded
+    block ran for it."""
+    calls.clear()
+    verdict = guarded_eval(e, xs, L, K, emax)
+    assert verdict == reference_guarded_eval(e, xs, L, K, emax)
+    return verdict, bool(calls)
+
+
+TAU_24 = F(1, 1 << 25)  # the grid step at (L, emax) = (24, 0)
+
+
+def test_orientation_stages_at_24_8(rounded_runs):
+    L, K, emax = 24, 8, 0
+    e = orientation2d_expr()
+    far = [0, 0, F(1, 2), 0, 0, F(1, 2)]
+    assert verdict_and_stage(e, far, L, K, emax, rounded_runs) == (SignCertified(1), False)
+    assert verdict_and_stage(e, far[:2] + far[4:] + far[2:4], L, K, emax, rounded_runs) == (
+        SignCertified(-1), False)
+    near = [0, 0, F(1, 2), F(1, 2), F(1, 4), F(1, 4) + TAU_24]
+    verdict, rounded = verdict_and_stage(e, near, L, K, emax, rounded_runs)
+    assert rounded and verdict == GuardFailed()
+    collinear = [0, 0, F(1, 2), F(1, 2), F(1, 4), F(1, 4)]
+    assert verdict_and_stage(e, collinear, L, K, emax, rounded_runs) == (GuardFailed(), True)
+
+
+@pytest.mark.parametrize("offset, rounded", [(-TAU_24, True), (0, True), (TAU_24, False)],
+                         ids=["below_2B", "at_2B", "above_2B"])
+def test_threshold_is_twice_the_static_bound(rounded_runs, offset, rounded):
+    # orientation: ind 4, sup 2 * (2 * 2^emax)^2, so 2B = 2^-18 at (24, 0);
+    # p = (0, 0), q = (2^-9, 0), r = (0, b) give E = 2^-9 * b
+    L, K, emax = 24, 8, 0
+    xs = [0, 0, F(1, 1 << 9), 0, 0, F(1, 1 << 9) + offset]
+    verdict, ran = verdict_and_stage(orientation2d_expr(), xs, L, K, emax, rounded_runs)
+    assert verdict == SignCertified(1) and ran == rounded
+
+
+def test_overflowing_intermediate_runs_the_rounded_block(rounded_runs):
+    # x0 * x1 = 2304 > 2^(2^(K-1)) = 256 overflows at K = 4, while E is far from 0
+    e = Sub(Mul(Input(0), Input(1)), Mul(Input(2), Input(3)))
+    verdict, ran = verdict_and_stage(e, [48, 48, 1, 1], 24, 4, 6, rounded_runs)
+    assert ran and isinstance(verdict, RangeErrorVerdict)
+
+
+def test_overflow_margin(rounded_runs):
+    # the record needs 2 * sup <= 2^(2^(K-1)) at every node; x0 * x1 has sup
+    # 2^(2 emax), so at K = 5 emax = 7 is the last admitted and emax = 8,
+    # where sup reaches 2^16 itself, runs the rounded block
+    e = Mul(Input(0), Input(1))
+    assert verdict_and_stage(e, [1, 1], 24, 5, 7, rounded_runs) == (SignCertified(1), False)
+    assert verdict_and_stage(e, [1, 1], 24, 5, 8, rounded_runs) == (SignCertified(1), True)
+
+
+def test_input_quantum_underflow(rounded_runs):
+    # F_{8,4}: e_min = -7, subnormal step 2^-15.  x0 * x1 = 9 * 2^-18 is inexact
+    # below the smallest normal, though E = x0 * x1 + 2 is far from zero
+    e = Add(Mul(Input(0), Input(1)), Input(2))
+    x = F(3, 1 << 9)
+    verdict, ran = verdict_and_stage(e, [x, x, 2], 8, 4, 2, rounded_runs)
+    assert ran and isinstance(verdict, RangeErrorVerdict)
+    # inputs on the quantum 2^Q_safe = 2^-7 or coarser settle in the exact stage
+    y = F(3, 1 << 7)
+    assert verdict_and_stage(e, [y, y, 2], 8, 4, 2, rounded_runs) == (SignCertified(1), False)
+    assert verdict_and_stage(e, [y / 2, y, 2], 8, 4, 2, rounded_runs) == (SignCertified(1), True)
+
+
+@pytest.mark.parametrize("c", [F(2) ** -40, F(2) ** 40 + 1], ids=["underflows", "overflows"])
+def test_constant_outside_the_float_set(rounded_runs, c):
+    e = Add(Input(0), Const(c))
+    verdict, ran = verdict_and_stage(e, [F(1, 2)], 24, 5, 0, rounded_runs)
+    assert ran and verdict == RangeErrorVerdict("const")
+
+
+def test_constant_rounded_at_L_is_exact_in_the_stage(rounded_runs):
+    # 12345/4096 needs 14 bits: the stage takes it exactly, the block rounds it
+    e = Sub(Input(0), Const(F(12345, 4096)))
+    assert verdict_and_stage(e, [F(5, 2)], 8, 5, 2, rounded_runs) == (SignCertified(-1), False)
+    assert verdict_and_stage(e, [F(13, 4)], 8, 5, 2, rounded_runs) == (SignCertified(1), False)
+
+
+def test_non_dyadic_block_keeps_the_rounded_path(rounded_runs):
+    e = Sub(Input(0), Const(F(1, 3)))
+    assert _guard_of(e)._whole._exact is None
+    for x, sign in ((F(3, 2), 1), (F(-3, 2), -1)):
+        assert verdict_and_stage(e, [x], 24, 8, 1, rounded_runs) == (SignCertified(sign), True)
+
+
+def test_blocks_below_min_max_abs_each_take_the_stage(rounded_runs):
+    # min(x0 - x1, |x2 * x3|): two blocks, each settled exactly
+    e = Min(Sub(Input(0), Input(1)), Abs(Mul(Input(2), Input(3))))
+    xs = [F(1, 2), F(1, 4), F(1, 8), F(-1, 2)]
+    assert verdict_and_stage(e, xs, 24, 8, 0, rounded_runs) == (SignCertified(1), False)
+    e = Max(Sub(Input(0), Input(1)), Const(F(1, 3)))  # the 1/3 block alone runs rounded
+    assert verdict_and_stage(e, xs, 24, 8, 0, rounded_runs) == (SignCertified(1), True)
+    assert rounded_runs == [Const(F(1, 3))]
