@@ -157,39 +157,49 @@ class CpRunStats:
         )
 
 
-def _input_drawer(
-    centers: Sequence[tuple[int, int]],
-    shape: PerturbationShape,
-    delta: Fraction,
-    spec: GridSpec,
-    rng: SplitMix64,
-) -> Callable[[], Optional[tuple[SoftFloat, ...]]]:
-    """Draws of one uniform grid point of the perturbation area about the
-    (numerator, denominator) centres: a box draws the whole input in one call,
-    a disc or ball redraws each object until it passes the in-shape test (on
-    integers, every length times S).  None on an empty index range or after
-    4096 failed tries of one object."""
+def _area_constants(centers: Sequence[tuple[int, int]], shape: PerturbationShape,
+                    delta: Fraction) -> tuple:
+    """What every draw about the (numerator, denominator) centres needs at
+    any grid, computed once per run and delta: each coordinate's range ends
+    c -+ delta as integers over one denominator, and per disc or ball the
+    lcm S0 of its denominators, the S0-scaled centres and (S0 * delta)^2."""
     dn, dd = delta.numerator, delta.denominator
-    about = spec.index_range_about
-    sampler = GridSampler(spec, (about(cn, cd, dn, dd) for cn, cd in centers), rng)
-    box, cpo = shape.kind == "box", shape.coords_per_object
-    t = spec.L + 1 - spec.emax  # tau = 2^-t
-    tests = []  # per disc or ball: first coordinate, S * tau, S * centre, (S * delta)^2
-    for base in range(0, 0 if box else len(centers), cpo):
+    ends = [(cn * dd - dn * cd, cd * dd, cn * dd + dn * cd, cd * dd) for cn, cd in centers]
+    cpo = shape.coords_per_object
+    groups = []  # per disc or ball: first coordinate, S0, S0 * centre, (S0 * delta)^2
+    for base in range(0, 0 if shape.kind == "box" else len(centers), cpo):
         group = centers[base : base + cpo]
-        S = lcm(dd, *(cd for _, cd in group)) << max(t, 0)
-        unit = S >> t if t >= 0 else S << -t
-        tests.append((base, unit, [cn * (S // cd) for cn, cd in group], (dn * (S // dd)) ** 2))
+        S0 = lcm(dd, *(cd for _, cd in group))
+        groups.append((base, S0, [cn * (S0 // cd) for cn, cd in group], (dn * (S0 // dd)) ** 2))
+    return ends, groups, cpo
+
+
+def _input_drawer(area: tuple, spec: GridSpec,
+                  rng: SplitMix64) -> Callable[[], Optional[tuple[SoftFloat, ...]]]:
+    """Draws of one uniform grid point of the perturbation area (as
+    _area_constants gives it): a box draws the whole input in one call, a
+    disc or ball redraws each object until it passes the in-shape test (on
+    integers, every length times S = S0 * 2^max(t, 0) with tau = 2^-t).
+    None on an empty index range or after 4096 failed tries of one object."""
+    ends, groups, cpo = area
+    sampler = GridSampler(spec, spec._indices(ends), rng)
+    t = spec.L + 1 - spec.emax
+    up, down = max(t, 0), max(-t, 0)
 
     def draw():
         try:
-            if box:
+            if not groups:
                 return sampler.draw_floats()
             lams = []
-            for base, unit, scaled, radius2 in tests:
+            for base, S0, scaled, radius2 in groups:
+                unit, bound = S0 << down, radius2 << 2 * up  # S * tau, (S * delta)^2
                 for _ in range(4096):
                     group = sampler.draw(base, base + cpo)
-                    if sum((lam * unit - sc) ** 2 for lam, sc in zip(group, scaled)) <= radius2:
+                    d2 = 0
+                    for lam, sc in zip(group, scaled):
+                        v = lam * unit - (sc << up)  # S * (point - centre)
+                        d2 += v * v
+                    if d2 <= bound:
                         lams += group
                         break
                 else:
@@ -298,6 +308,7 @@ def _acp_loop(
     delta_max = delta_schedule[-1] if delta_schedule else shape.delta
     emax = compute_emax(ybar, [delta_max] * len(ybar))
     centers = [(c.numerator, c.denominator) for c in ybar]  # read once per run
+    areas = {d: _area_constants(centers, shape, d) for d in set(deltas)}  # once per delta
     rng = SplitMix64(seed)
     stats = CpRunStats(seed=seed)
     L, K = L0, K0
@@ -316,7 +327,7 @@ def _acp_loop(
             if delta_schedule:
                 stats.delta_sequence.append(delta)
             if draw is None or delta_schedule:  # once per (spec, delta)
-                draw = _input_drawer(centers, shape, delta, spec, rng)
+                draw = _input_drawer(areas[delta], spec, rng)
             y = draw()
             if y is None:
                 round_kind = "guard_failure"  # grid too coarse: more bits help

@@ -365,9 +365,6 @@ class BoundSet:
             raise NotAnalyzable("need a positive value bound")
         return max(1, ceil_log2(Fraction(self.s_inf_coeff) / phi))
 
-    def gamma_of_lambda(self, lam: Fraction) -> tuple[Fraction, ...]:
-        return tuple(lam * g for g in self.gamma_hat)
-
 
 def multivariate_sinf_coeff(terms: dict, emax: int) -> Fraction:
     """Cor.-2 coefficient for a polynomial given as a term dict."""

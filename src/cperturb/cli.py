@@ -65,11 +65,20 @@ def dec_str(v: Fraction, places: int = 9) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
+MAX_EXPONENT_DIGITS = 4  # decimal exponents stay below 10^4 in magnitude
+
+
 def parse_exact(text: str) -> Fraction:
     """p/q, integer, or dyadic decimal.  Non-dyadic decimals and non-numbers
-    are rejected so no silently unrepresentable coordinate enters the pipeline."""
+    are rejected so no silently unrepresentable coordinate enters the pipeline.
+    A decimal exponent of more than MAX_EXPONENT_DIGITS digits (leading zeros
+    aside) is refused before any power of ten is built, so a short argument
+    cannot cost minutes."""
     text = text.strip()
     decimal = "/" not in text and ("." in text or "e" in text.lower())
+    exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    if len(exponent) > MAX_EXPONENT_DIGITS:
+        raise InadmissibleInput(f"{text!r}: a decimal exponent has at most {MAX_EXPONENT_DIGITS} digits")
     try:
         v = Fraction(text) if "/" in text or decimal else Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:

@@ -36,6 +36,8 @@ A block with only dyadic constants first runs an exact stage on the same
 alignment templates for E, its exact value.  With inputs in [-2^emax, 2^emax]
 and no range error possible (_Block._range_safe), |fl(E) - E| <= B, the
 static bound, so |E| > 2B means the rounded block would certify sign E.
+The rounded block and the exact stage load each input index once, at its
+first read (where the stage also checks it); later reads reuse that pair.
 """
 
 from __future__ import annotations
@@ -347,6 +349,7 @@ class _Block:
         sup = _RATIONAL_SUP if self.rational else _DYADIC_SUP
         lines = [_HEAD]
         exact = ["def exact(xs, Q, H):\n"]
+        first: dict[int, int] = {}  # input index -> number of its first node
 
         def emit(n: Expr) -> int:
             kind = type(n)
@@ -356,14 +359,18 @@ class _Block:
                 raise TypeError(f"unknown node {kind.__name__}")
             kids = tuple(emit(c) for c in n.children())
             i = len(plan)
-            plan.append((kind, kids))
             if kind is Input:
                 k = n.index
+                if k in first:  # loaded and checked once; later reads reuse it
+                    plan.append((kind, ()))
+                    return first[k]
+                first[k] = i
             elif kind is Const:
                 k = len(self.consts)
                 self.consts.append(n.value)
             else:
                 k = _OP_INDEX.get(kind, 0)
+            plan.append((kind, kids))
             a, b = (kids + (0, 0))[:2]
             if kind is not Const:
                 lines.append(_VALUE[kind].format(i=i, k=k, a=a, b=b))

@@ -28,8 +28,7 @@ from .bounds import (
     bounds_univariate,
     choose_beta,
 )
-from .errorbounds import GuardFailed, RangeErrorVerdict, _input_pairs, guarded_eval
-from .exact import rat_sign
+from .errorbounds import RangeErrorVerdict, SignCertified, _input_pairs, guarded_eval
 from .expr import (
     Add, Div, Expr, Input, Max, Mul, NotPolynomial, Sub, expand_polynomial, polynomial_expr,
 )
@@ -98,9 +97,6 @@ class PredicateInstance:
 
     def guarded(self, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int):
         return guarded_eval(self.expr, x, L, K, self.desc.emax)
-
-    def exact_sign(self, x: Sequence[Exact]) -> int:
-        return rat_sign(self.expr, x)
 
 
 def make_univariate(
@@ -331,12 +327,11 @@ def guarded_convex_hull(
                 if counter is not None:
                     counter.evaluations += 1
                 verdict = guarded_eval(
-                    _ORIENTATION2D, (*pts[chain[-2]], *pts[chain[-1]], *pts[i]), L, K, emax, pairs=True
+                    _ORIENTATION2D, pts[chain[-2]] + pts[chain[-1]] + pts[i], L, K, emax, pairs=True
                 )
-                if isinstance(verdict, RangeErrorVerdict):
-                    return ("range_error", None)
-                if isinstance(verdict, GuardFailed):
-                    return ("guard_failure", None)
+                if verdict.__class__ is not SignCertified:
+                    kind = "range_error" if verdict.__class__ is RangeErrorVerdict else "guard_failure"
+                    return (kind, None)
                 if verdict.sign > 0:  # strict left turn: keep
                     break
                 chain.pop()

@@ -8,7 +8,9 @@ analysis may treat them as error-free.
 Sampling uses SplitMix64 keyed by (seed, counter): for word index i the
 output is mix(seed + (i+1)*GAMMA) with the standard SplitMix64 finalizer.
 Uniform integers are drawn by rejection from the enclosing power of two, so
-there is no modulo bias.
+there is no modulo bias; each draw is one uniform_int call.  Drawn indices
+become members of F_{L,K} through grid_floats, which builds in-range normal
+points from their fields, with no rounding and no re-validation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .softfloat import SoftFloat, _round_scaled, exponent_min, is_representable, zero
+from .softfloat import SoftFloat, _member, _round_scaled, exponent_min, is_representable, zero
 
 Exact = Fraction
 
@@ -34,13 +36,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
 
 
-def _mix64(z: int) -> int:
-    z &= _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
-
-
 class SplitMix64:
     """Counter-based SplitMix64 stream; word i depends only on (seed, i)."""
 
@@ -48,21 +43,25 @@ class SplitMix64:
         self.seed = seed & _M64
         self.counter = 0
 
-    def next_u64(self) -> int:
-        self.counter += 1
-        return _mix64(self.seed + self.counter * _GAMMA)
-
     def uniform_int(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection from 2^ceil(log2 n)."""
+        """Uniform integer in [0, n) by rejection from 2^ceil(log2 n).
+
+        Each word is the SplitMix64 output for the next counter value,
+        computed here so that a draw is one call."""
         if n <= 0:
             raise ValueError("need n >= 1")
         if n == 1:
             return 0
         bits = (n - 1).bit_length()
+        mask = (1 << bits) - 1
         while True:
-            word = self.next_u64()
+            self.counter += 1
+            z = (self.seed + self.counter * _GAMMA) & _M64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+            word = z ^ (z >> 31)
             for _ in range(64 // bits if bits <= 32 else 1):
-                v = word & ((1 << bits) - 1)
+                v = word & mask
                 word >>= bits
                 if v < n:
                     return v
@@ -116,41 +115,58 @@ class GridSpec:
         """Integers lo..hi (inclusive) with lo*tau >= a, hi*tau <= b, clipped
         to [-2^emax, 2^emax]."""
         a, b = Fraction(a), Fraction(b)
-        return self._indices(a.numerator, a.denominator, b.numerator, b.denominator)
+        return self._indices([(a.numerator, a.denominator, b.numerator, b.denominator)])[0]
 
     def index_range_about(self, cn: int, cd: int, rn: int, rd: int) -> tuple[int, int]:
         """index_range(c - r, c + r) for c = cn/cd and r = rn/rd with positive
         cd, rd, taking and computing integers only."""
         den = cd * rd
-        return self._indices(cn * rd - rn * cd, den, cn * rd + rn * cd, den)
+        return self._indices([(cn * rd - rn * cd, den, cn * rd + rn * cd, den)])[0]
 
-    def _indices(self, an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-        """index_range(an/ad, bn/bd) for positive ad, bd."""
+    def _indices(self, ends: Iterable[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
+        """index_range(an/ad, bn/bd) for each (an, ad, bn, bd), ad and bd positive."""
         t = self.L + 1 - self.emax  # 1/tau = 2^t, and 2^emax/tau = 2^(L+1)
-        if t >= 0:
-            lo, hi = -((-an << t) // ad), (bn << t) // bd
-        else:
-            lo, hi = -(-an // (ad << -t)), bn // (bd << -t)
         edge = 1 << (self.L + 1)
-        return max(lo, -edge), min(hi, edge)
+        out = []
+        for an, ad, bn, bd in ends:
+            if t >= 0:
+                lo, hi = -((-an << t) // ad), (bn << t) // bd
+            else:
+                lo, hi = -(-an // (ad << -t)), bn // (bd << -t)
+            out.append((lo if lo > -edge else -edge, hi if hi < edge else edge))
+        return out
+
+
+def grid_floats(lams: Iterable[int], spec: GridSpec) -> tuple[SoftFloat, ...]:
+    """The grid points lam * tau as members of F_{L,K}, the spec read once.
+
+    With n = |lam|.bit_length() <= L + 1, lam * tau has exponent
+    e = emax - L - 2 + n and significand |lam| << (L + 1 - n), exactly; for
+    e >= e_min these fields are valid by construction (e <= emax - 1 < e_max
+    by GridSpec's invariant) and the member is built unchecked.  Zero, points
+    below 2^e_min and |lam| >= 2^(L+1) go through the general rounding.
+    """
+    L, K = spec.L, spec.K
+    if L < 1 or K < 2:
+        raise ValueError("need L >= 1 and K >= 2")
+    L1 = L + 1
+    q = spec.emax - L1  # lam * tau = lam * 2^q
+    low = max(exponent_min(K) - q + 1, 1)  # least n with e >= e_min
+    out = []
+    for lam in lams:
+        n = lam.bit_length()
+        if low <= n <= L1:
+            out.append(_member(1 if lam > 0 else -1, abs(lam) << (L1 - n), q - 1 + n, L, K))
+        elif lam:
+            out.append(_round_scaled(1 if lam > 0 else -1, abs(lam), q, L, K, "grid"))
+        else:
+            out.append(zero(L, K))
+    return tuple(out)
 
 
 def grid_float(lam: int, spec: GridSpec) -> SoftFloat:
-    """The grid point lam * tau as a member of F_{L,K}, built from its index.
-
-    With n = |lam|.bit_length() <= L + 1, lam * tau has exponent
-    e = emax - L - 2 + n and significand |lam| << (L + 1 - n), exactly.
-    The rest (subnormal points below e_min, and |lam| >= 2^(L+1)) is rounded.
-    """
-    L, K = spec.L, spec.K
-    if lam == 0:
-        return zero(L, K)
-    a, sign = (lam, 1) if lam > 0 else (-lam, -1)
-    n = a.bit_length()
-    e = spec.emax - L - 2 + n
-    if n > L + 1 or e < exponent_min(K):
-        return _round_scaled(sign, a, spec.emax - L - 1, L, K, "grid")
-    return SoftFloat(sign, a << (L + 1 - n), e, L, K)
+    """The grid point lam * tau as a member of F_{L,K} (see grid_floats)."""
+    return grid_floats((lam,), spec)[0]
 
 
 def enumerate_grid(a: Exact, b: Exact, spec: GridSpec) -> list[Fraction]:
@@ -237,8 +253,7 @@ class GridSampler:
         return [lam * tau for lam in lams]
 
     def floats(self, lams: Iterable[int]) -> tuple[SoftFloat, ...]:
-        spec = self.spec
-        return tuple(grid_float(lam, spec) for lam in lams)
+        return grid_floats(lams, self.spec)
 
     def draw_floats(self) -> tuple[SoftFloat, ...]:
         return self.floats(self.draw())

@@ -51,10 +51,6 @@ def max_magnitude(L: int, K: int) -> Fraction:
     return Fraction((1 << (L + 1)) - 1, 1) * Fraction(2) ** (exponent_max(K) - L)
 
 
-def min_normal(L: int, K: int) -> Fraction:
-    return Fraction(2) ** exponent_min(K)
-
-
 @dataclass(frozen=True)
 class SoftFloat:
     """One member of F_{L,K}.  Immutable; arithmetic lives in fl_binop."""
@@ -83,9 +79,6 @@ class SoftFloat:
         if m < (1 << L) and e != exponent_min(K):
             raise ValueError("subnormal significand away from e_min")
 
-    def is_zero(self) -> bool:
-        return self.significand == 0
-
     def to_fraction(self) -> Fraction:
         """Exact value; the conversion is lossless."""
         cached = getattr(self, "_frac", None)
@@ -108,6 +101,15 @@ class SoftFloat:
 
 def zero(L: int, K: int) -> SoftFloat:
     return SoftFloat(1, 0, exponent_min(K), L, K)
+
+
+def _member(sign: int, m: int, e: int, L: int, K: int) -> SoftFloat:
+    """SoftFloat(sign, m, e, L, K) without __post_init__'s checks, for fields
+    valid by construction: L >= 1, K >= 2, sign +-1, 2^L <= m < 2^(L+1) and
+    e_min <= e <= e_max.  Equal to the checked construction in ==, hash, repr."""
+    f = object.__new__(SoftFloat)
+    f.__dict__.update(sign=sign, significand=m, exponent=e, prec=L, expbits=K)
+    return f
 
 
 def fl_round(x: Exact, L: int, K: int, source_op: str = "fl_round") -> SoftFloat:

@@ -32,6 +32,11 @@ class Reference:
     phi_inf: Callable
 
 
+def gamma_of_lambda(bs, lam: Fraction) -> tuple[Fraction, ...]:
+    """The gamma vector at lambda on bs's Gamma-line: lambda * gamma_hat."""
+    return tuple(lam * g for g in bs.gamma_hat)
+
+
 def _mu(deltas) -> Fraction:
     out = Fraction(1)
     for d in deltas:

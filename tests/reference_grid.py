@@ -1,5 +1,9 @@
 """Reference draws: the per-caller draw loops that GridSampler replaces.
 
+`next_u64` is the SplitMix64 word by word, through the standard finalizer
+`_mix64`, as the stream once exposed it; `SplitMix64.uniform_int` computes
+the same words in its own body.
+
 `sample_grid_values` computes each coordinate's index range as it reaches it
 and draws through SplitMix64.uniform_int, exactly as first written.
 `sample_shape_input` is the perturbation loop's draw of a whole input, with
@@ -15,6 +19,22 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from cperturb.grid import EmptyGrid, GridSpec, PerturbationBox, SplitMix64
+
+_GAMMA = 0x9E3779B97F4A7C15
+_M64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    z &= _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def next_u64(rng: SplitMix64) -> int:
+    """The stream's next 64-bit word: mix(seed + counter * GAMMA)."""
+    rng.counter += 1
+    return _mix64(rng.seed + rng.counter * _GAMMA)
 
 
 def sample_grid_values(box: PerturbationBox, spec: GridSpec, rng: SplitMix64) -> list[Fraction]:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference_bounds
+from reference_bounds import gamma_of_lambda
 
 from cperturb.bounds import (
     ArityTooLarge,
@@ -43,7 +44,7 @@ def univariate_pair(coeffs=(0, 1), delta=F(1), emax=1, gamma_hat=None):
 def at(bs, line, gv):
     """The line form at the gamma vector gv, which must lie on bs's Gamma-line."""
     lam = F(gv[0]) / bs.gamma_hat[0]
-    assert bs.gamma_of_lambda(lam) == tuple(gv)
+    assert gamma_of_lambda(bs, lam) == tuple(gv)
     return line.value(lam, BITS)
 
 
@@ -381,7 +382,7 @@ class TestSweepInvariants:
         prev_region = None
         prev_phi = None
         for lam in self.line_points():
-            gv = bs.gamma_of_lambda(lam)
+            gv = gamma_of_lambda(bs, lam)
             region = bs.region_line.value(lam, BITS)
             want = enclosure(ref.region(gv))
             if bs.kind == "nu":

@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from cperturb.bounds import InadmissibleInput
-from cperturb.cli import main, parse_exact
+from cperturb.cli import MAX_EXPONENT_DIGITS, main, parse_exact
 
 
 def run_cli(*argv, env=None):
@@ -36,6 +37,26 @@ class TestParseExact:
     def test_not_a_number_rejected(self, text):
         with pytest.raises(InadmissibleInput, match="is not an integer, p/q or decimal number"):
             parse_exact(text)
+
+    def test_decimal_exponent_forms(self):
+        assert parse_exact("0.5e1") == 5
+        assert parse_exact("1.25") == F(5, 4)
+        assert parse_exact("1.25E+2") == 125
+        assert parse_exact("25e-2") == F(1, 4)
+        top = "9" * MAX_EXPONENT_DIGITS
+        assert parse_exact(f"1e{top}") == 10 ** int(top)
+        with pytest.raises(InadmissibleInput, match="is not a dyadic rational"):
+            parse_exact(f"2e-000{top}")  # leading zeros do not count
+        assert parse_exact("1e+0_005") == 100000
+
+    @pytest.mark.parametrize("text", ["1e-10000000", "1e10000000", "1E1_000_000_000", "5e-10000", "1e10000"])
+    def test_long_decimal_exponent_refused_at_once(self, text, capsys):
+        start = time.perf_counter()
+        with pytest.raises(InadmissibleInput, match="a decimal exponent has at most"):
+            parse_exact(text)
+        assert main(["analyze", "--p", text]) == 2
+        assert capsys.readouterr().err.startswith(f"inadmissible input: {text!r}: a decimal exponent")
+        assert time.perf_counter() - start < 0.5
 
 
 class TestEnumerate:

@@ -22,9 +22,8 @@ CONSTANTS = (F(0), F(1), F(-3, 4), F(5, 8), F(12345, 4096), F(2) ** 40 + 1, F(2)
              F(1, 3), F(-2, 7), F(1, 10))
 
 
-@st.composite
-def cases(draw):
-    k = draw(st.integers(1, 4))  # few slots, so inputs repeat
+def trees(k: int):
+    """Expressions over the inputs x0..x(k-1) and CONSTANTS, up to ten leaves."""
     leaf = st.one_of(
         st.integers(0, k - 1).map(Input),
         st.integers(0, k - 1).map(Input),
@@ -35,7 +34,13 @@ def cases(draw):
         binary = st.tuples(st.sampled_from((Add, Sub, Mul, Min, Max)), kids, kids)
         return st.one_of(binary.map(lambda t: t[0](t[1], t[2])), kids.map(Abs))
 
-    tree = st.recursive(leaf, extend, max_leaves=10)
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+@st.composite
+def cases(draw):
+    k = draw(st.integers(1, 4))  # few slots, so inputs repeat
+    tree = trees(k)
     e = draw(tree)
     if draw(st.booleans()):
         e = Div(e, draw(tree))

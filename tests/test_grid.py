@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import reference_grid as ref
 from cperturb.grid import (
     EmptyGrid,
     GridSpec,
@@ -14,12 +16,13 @@ from cperturb.grid import (
     count_grid,
     enumerate_grid,
     grid_float,
+    grid_floats,
     grid_unit,
     perturb_object_preserving,
     sample_grid_point,
     sample_grid_values,
 )
-from cperturb.softfloat import enumerate_floats, fl_round, is_representable
+from cperturb.softfloat import SoftFloat, enumerate_floats, exponent_min, fl_round, is_representable
 
 
 class TestEmax:
@@ -27,6 +30,23 @@ class TestEmax:
         assert compute_emax([3], [1]) == 2
         assert compute_emax([F(1, 2)], [F(1, 2)]) == 0
         assert compute_emax([7, -9], [1, 2]) == 4
+
+
+class TestIndexRange:
+    def test_equals_ceil_and_floor_over_tau(self):
+        # lo = ceil(a / tau), hi = floor(b / tau), clipped to +-2^(L+1), with
+        # both signs of t = L + 1 - emax; index_range_about agrees on c -+ r
+        rng = random.Random(18)
+        for _ in range(500):
+            L, emax = rng.randint(1, 12), rng.randint(0, 16)
+            spec = GridSpec(L, emax.bit_length() + 3, emax)
+            c = F(rng.randint(-5000, 5000), rng.choice((1, 3, 64, 1000)))
+            r = F(rng.randint(0, 5000), rng.choice((1, 7, 1024)))
+            a, b = c - r, c + r
+            edge = 1 << (L + 1)
+            want = (max(math.ceil(a / spec.tau), -edge), min(math.floor(b / spec.tau), edge))
+            assert spec.index_range(a, b) == want
+            assert spec.index_range_about(c.numerator, c.denominator, r.numerator, r.denominator) == want
 
 
 class TestGridUnit:
@@ -88,6 +108,44 @@ class TestGridFloat:
         if (L, K, emax) == (10, 3, 0):
             # tau = 2^-11 and e_min = -3: the smallest points are subnormal
             assert subnormal > 0
+
+
+    @pytest.mark.parametrize("L, K, emax", [(1, 2, 0), (2, 3, 1), (3, 4, 6), (4, 3, 1), (10, 3, 0),
+                                            (12, 5, 7), (53, 11, 200)])
+    def test_builder_equals_fl_round(self, L, K, emax):
+        # one call over many indices, as GridSampler.floats makes it; built
+        # members also pass the public constructor's checks
+        spec = GridSpec(L, K, emax)
+        edge = 1 << (L + 1)
+        rng = random.Random(L * 1000 + K * 10 + emax + 1)
+        lams = [0, 1, -1, 2, -3, edge, -edge, edge - 1, 1 - edge, edge // 2, 0, 1]
+        lams += [rng.randint(-edge, edge) for _ in range(400)] + [rng.randint(-min(64, edge), min(64, edge)) for _ in range(100)]
+        got = grid_floats(lams, spec)
+        assert type(got) is tuple and len(got) == len(lams)
+        kinds = set()
+        for lam, f in zip(lams, got):
+            want = fl_round(lam * spec.tau, L, K)
+            assert type(f) is SoftFloat
+            assert (f.sign, f.significand, f.exponent, f.prec, f.expbits) == (
+                want.sign, want.significand, want.exponent, want.prec, want.expbits)
+            assert f == want and hash(f) == hash(want) and repr(f) == repr(want)
+            assert f.to_fraction() == want.to_fraction() == lam * spec.tau
+            assert SoftFloat(f.sign, f.significand, f.exponent, f.prec, f.expbits) == f
+            kinds.add("zero" if not lam else "subnormal" if f.significand < 1 << L else "normal")
+        # points below 2^e_min exist where tau is below it
+        below = spec.tau < F(2) ** exponent_min(K)
+        assert kinds == ({"zero", "normal", "subnormal"} if below else {"zero", "normal"})
+        assert [grid_float(lam, spec) for lam in lams] == list(got)
+        assert grid_floats([], spec) == ()
+        assert grid_floats(iter(lams[:5]), spec) == got[:5]
+
+    def test_builder_checks_the_format_once(self):
+        # GridSpec admits L = 0 and K = 1; SoftFloat does not
+        for spec in (GridSpec(0, 4, 0), GridSpec(2, 1, -1)):
+            with pytest.raises(ValueError, match="need L >= 1 and K >= 2"):
+                grid_floats([1], spec)
+            with pytest.raises(ValueError, match="need L >= 1 and K >= 2"):
+                grid_float(1, spec)
 
 
 class TestSampling:
@@ -219,7 +277,28 @@ class TestObjectPreserving:
 class TestRng:
     def test_counter_based(self):
         a, b = SplitMix64(9), SplitMix64(9)
-        assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
+        assert [ref.next_u64(a) for _ in range(5)] == [ref.next_u64(b) for _ in range(5)]
+
+    def test_uniform_int_words_are_splitmix64(self):
+        # n = 2^64 takes each word whole, and never rejects: one word per draw
+        for seed in (0, 9, (1 << 64) - 1, 1 << 70):
+            a, b = SplitMix64(seed), SplitMix64(seed)
+            assert [a.uniform_int(1 << 64) for _ in range(8)] == [ref.next_u64(b) for _ in range(8)]
+            assert a.counter == b.counter == 8
+        # a narrower draw starts a fresh word and takes its low bits first
+        a, b = SplitMix64(3), SplitMix64(3)
+        assert [a.uniform_int(1 << 16) for _ in range(4)] == [ref.next_u64(b) & 0xFFFF for _ in range(4)]
+        assert a.counter == b.counter == 4
+        # rejection moves on 3 bits at a time within a word (21 chunks), then
+        # to the next word
+        a, b = SplitMix64(11), SplitMix64(11)
+        for _ in range(200):
+            want = None
+            while want is None:
+                word = ref.next_u64(b)
+                want = next((c for c in ((word >> s) & 7 for s in range(0, 63, 3)) if c < 5), None)
+            assert a.uniform_int(5) == want
+            assert a.counter == b.counter
 
     def test_uniform_int_range(self):
         rng = SplitMix64(3)

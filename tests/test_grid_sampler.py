@@ -11,7 +11,9 @@ import reference_grid as ref
 from cperturb.algo import (
     IterationCapExceeded,
     PerturbationShape,
+    _area_constants,
     _input_drawer,
+    run_acp,
     run_acp_delta_variant,
     run_basic_acp,
 )
@@ -109,7 +111,7 @@ def test_input_drawer_matches_reference_stream(kind):
             continue
         a, b = SplitMix64(n), SplitMix64(n)
         centers = [(c.numerator, c.denominator) for c in ybar]
-        draw = _input_drawer(centers, PerturbationShape(kind, delta), delta, spec, b)
+        draw = _input_drawer(_area_constants(centers, PerturbationShape(kind, delta), delta), spec, b)
         for _ in range(3):  # one drawer per (spec, delta), drawn from repeatedly
             before = a.counter
             want = ref.sample_shape_input(ybar, kind, delta, spec, a)
@@ -153,3 +155,41 @@ def test_loops_draw_the_reference_stream():
             L *= 2
         assert drawn == want
         assert 0 < len(drawn) < 4 * len(deltas)  # the first rounds draw nothing
+
+
+@pytest.mark.parametrize("kind", sorted(SHAPES))
+@pytest.mark.parametrize("variant", ["acp", "delta"])
+def test_run_constants_draw_the_reference_stream(kind, variant):
+    # the range ends and in-shape constants are computed once per run and
+    # delta, and each round only shifts them by t = L + 1 - emax: rounds of
+    # growing L, from grids coarser than delta (t < 0) to fine ones (t > 0),
+    # must draw what the reference draws from scratch, stream position included
+    ybar = [F(1, 3), F(-5, 8), F(1025, 3), F(2, 3), F(-1, 6), F(9, 4)]
+    drawn = []
+
+    def fail(y, L, K):
+        drawn.append(tuple(f.to_fraction() for f in y))
+        return ("guard_failure", None)
+
+    if variant == "delta":
+        deltas = (F(1, 5), F(2, 5), F(4, 5))
+        shape = PerturbationShape(kind, deltas[0])
+        with pytest.raises(IterationCapExceeded):
+            run_acp_delta_variant(fail, ybar, shape, psi_delta=2, delta_min=deltas[0], eta_runs=3,
+                                  seed=7, L0=1, max_rounds=7)
+    else:
+        deltas = (F(3, 7),) * 3
+        shape = PerturbationShape(kind, deltas[0])
+        with pytest.raises(IterationCapExceeded):
+            run_acp(fail, ybar, shape, eta_runs=3, seed=7, L0=1, max_rounds=7)
+    emax = compute_emax(ybar, [deltas[-1]] * len(ybar))
+    rng, want, ts = SplitMix64(7), [], set()
+    for L in (1, 2, 4, 8, 16, 32, 64):
+        ts.add((L + 1 - emax > 0) - (L + 1 - emax < 0))
+        for delta in deltas:
+            y = ref.sample_shape_input(ybar, kind, delta, GridSpec(L, 8, emax), rng)
+            if y is not None:
+                want.append(y)
+    assert drawn == want
+    assert ts == {-1, 0, 1}
+    assert 0 < len(drawn) < 7 * len(deltas)  # the coarse rounds draw nothing

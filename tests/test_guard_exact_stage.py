@@ -211,3 +211,28 @@ def test_blocks_below_min_max_abs_each_take_the_stage(rounded_runs):
     e = Max(Sub(Input(0), Input(1)), Const(F(1, 3)))  # the 1/3 block alone runs rounded
     assert verdict_and_stage(e, xs, 24, 8, 0, rounded_runs) == (SignCertified(1), True)
     assert rounded_runs == [Const(F(1, 3))]
+
+
+
+@pytest.mark.parametrize("e, fine", [
+    (Add(Mul(Input(0), Input(0)), Input(1)), (SignCertified(1), False)),
+    (Add(Input(1), Mul(Input(0), Input(0))), (SignCertified(1), False)),
+    # E = 0 exactly: the stage cannot settle it, the rounded block fails it
+    (Sub(Mul(Input(1), Input(0)), Mul(Input(0), Input(1))), (GuardFailed(), True)),
+], ids=["x0_twice", "x0_read_after_x1", "both_twice"])
+def test_input_read_twice_is_checked_at_its_one_load(rounded_runs, e, fine):
+    # the stage loads and checks each input index once, and later reads of it
+    # reuse that pair; F_{8,4} at emax = 2 as in test_input_quantum_underflow,
+    # where the stage's quantum is 2^-7
+    L, K, emax = 8, 4, 2
+    y = F(3, 1 << 7)
+    assert verdict_and_stage(e, [y, 2], L, K, emax, rounded_runs) == fine
+    # off the quantum, or not below 2^emax: the stage declines, the block rounds
+    bad_inputs = ([y / 2, 2], [F(5), 2], [F(-4), 2], [2, y / 2], [2, F(5)])
+    for bad in bad_inputs:
+        assert verdict_and_stage(e, bad, L, K, emax, rounded_runs)[1]
+    block = _guard_of(e)._whole
+    Q = block._range_safe(emax, L, K)[0]
+    assert block._exact(_input_pairs([y, 2], L, K), Q, emax) is not None
+    for bad in bad_inputs:
+        assert block._exact(_input_pairs(bad, L, K), Q, emax) is None

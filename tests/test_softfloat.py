@@ -1,5 +1,6 @@
 import random
 import struct
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -9,13 +10,16 @@ from cperturb.softfloat import (
     DivisionByZero,
     RangeError,
     SoftFloat,
+    _member,
     count_floats,
     enumerate_floats,
+    exponent_max,
+    exponent_min,
     fl_binop,
     fl_round,
     is_representable,
     max_magnitude,
-    min_normal,
+    to_pair,
     zero,
 )
 from conftest import nearest_by_enumeration, random_rational
@@ -42,14 +46,14 @@ class TestRound:
 
     def test_zero_canonical(self):
         z = fl_round(0, 6, 5)
-        assert z.is_zero() and z.to_fraction() == 0
+        assert z.significand == 0 and z.to_fraction() == 0
 
     def test_relative_error_bound(self, rng):
         for _ in range(300):
             L = rng.randint(1, 20)
             K = rng.randint(3, 8)
             x = random_rational(rng)
-            if x == 0 or abs(x) < min_normal(L, K) or abs(x) > max_magnitude(L, K) / 2:
+            if x == 0 or abs(x) < F(2) ** exponent_min(K) or abs(x) > max_magnitude(L, K) / 2:
                 continue
             r = fl_round(x, L, K).to_fraction()
             assert abs(r - x) <= abs(x) * F(2) ** (-L)
@@ -89,6 +93,28 @@ class TestRound:
         assert v.to_fraction() == F(1, 512)
 
 
+class TestUncheckedMember:
+    def test_equals_checked_construction(self, rng):
+        for _ in range(500):
+            L, K = rng.randint(1, 64), rng.randint(2, 12)
+            sign = rng.choice((1, -1))
+            m = rng.randint(1 << L, (1 << (L + 1)) - 1)
+            e = rng.choice((exponent_min(K), exponent_max(K), rng.randint(exponent_min(K), exponent_max(K))))
+            a, b = _member(sign, m, e, L, K), SoftFloat(sign, m, e, L, K)
+            assert type(a) is SoftFloat
+            assert a == b and b == a and not a != b
+            assert hash(a) == hash(b) and len({a, b}) == 1
+            assert repr(a) == repr(b)
+            assert a.to_fraction() == b.to_fraction() and to_pair(a) == to_pair(b)
+            assert a != _member(-sign, m, e, L, K)
+            assert a == fl_round(a.to_fraction(), L, K)
+
+    def test_frozen(self):
+        a = _member(1, 4, 0, 2, 3)
+        with pytest.raises(FrozenInstanceError):
+            a.sign = -1
+
+
 class TestBinop:
     def test_add_exact(self):
         for L, K in [(2, 3), (5, 4), (24, 8)]:
@@ -121,13 +147,13 @@ class TestBinop:
                 a, b = fl_round(x, L, K), fl_round(y, L, K)
             except RangeError:
                 continue
-            if op == "/" and b.is_zero():
+            if op == "/" and b.significand == 0:
                 continue
             exact = {
                 "+": a.to_fraction() + b.to_fraction(),
                 "-": a.to_fraction() - b.to_fraction(),
                 "*": a.to_fraction() * b.to_fraction(),
-                "/": a.to_fraction() / b.to_fraction() if not b.is_zero() else None,
+                "/": a.to_fraction() / b.to_fraction() if b.significand else None,
             }[op]
             try:
                 got = fl_binop(op, a, b).to_fraction()
