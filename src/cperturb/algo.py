@@ -84,7 +84,7 @@ def rho(p: Exact, n_evals: int) -> Fraction:
     if not 0 < p < 1:
         raise InadmissibleInput("p must lie in (0,1)")
     if n_evals < 1:
-        raise ValueError("need at least one evaluation")
+        raise InadmissibleInput("need at least one evaluation")
     return (1 - p) / n_evals
 
 

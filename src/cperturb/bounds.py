@@ -26,15 +26,11 @@ from .exact import Exact
 from .expr import Expr, expand_polynomial  # noqa: F401
 from .reals import RVal, ceil_log2, nth_root, nth_root_exact, pi_enclosure
 from .errorbounds import safety_lower_multivariate, safety_lower_univariate
+from .grid import InadmissibleInput
 
 
 class NotAnalyzable(ValueError):
     """A bound required by the analysis is missing or not invertible."""
-
-
-class InadmissibleInput(ValueError):
-    """A parameter outside its domain, or input that no perturbation can
-    make solvable (a hull of fewer than three points): refused up front."""
 
 
 class GammaTooLarge(ValueError):
@@ -438,7 +434,7 @@ def bounds_univariate(coeffs: Sequence[Exact], desc: PredicateDescription) -> tu
     coeffs = tuple(Fraction(c) for c in coeffs)
     d = len(coeffs) - 1
     if d < 1 or coeffs[d] == 0:
-        raise ValueError("need a_d != 0 and degree >= 1")
+        raise InadmissibleInput("need a_d != 0 and degree >= 1")
     if desc.n_analysis != 1:
         raise ValueError("univariate analysis needs one analysis coordinate")
     delta = desc.delta[0]
@@ -532,7 +528,7 @@ def bounds_inbox_direct(
         raise ValueError("query-point analysis has two coordinates")
     wx, wy = (abs(Fraction(w)) for w in width)
     if wx == 0 or wy == 0:
-        raise ValueError("degenerate box")
+        raise InadmissibleInput("degenerate box")
     dx, dy = desc.delta
     cap = (dx * dy) / (2 * (dx + dy))  # keeps nu(gamma_hat) <= mu(U)/2
     gh = min(wx / 2, wy / 2, cap)
@@ -567,7 +563,7 @@ def bounds_incircle_direct(
         raise ValueError("query-point analysis has two coordinates")
     r = Fraction(radius)
     if r <= 0:
-        raise ValueError("radius must be positive")
+        raise InadmissibleInput("radius must be positive")
     dx, dy = desc.delta
     dmin = min(dx, dy)
     # nu(gamma_hat) <= mu(U)/2 via pi <= 4: 4*pi*g*dmin <= 16*g*dmin <= 2*dx*dy

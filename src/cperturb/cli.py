@@ -28,7 +28,7 @@ from .algo import (
 )
 from .bounds import InadmissibleInput, NotAnalyzable, RationalPrecision
 from .errorbounds import SignCertified
-from .expr import parse, polynomial_expr
+from .expr import ParseError, parse, polynomial_expr
 from .geom import (
     EvalCounter,
     PredicateInstance,
@@ -95,18 +95,30 @@ def default_seed() -> int:
 # --- predicate construction from flags ----------------------------------------
 
 
+def read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InadmissibleInput(f"cannot read {path}: {exc}") from exc
+
+
 def build_predicate(args) -> PredicateInstance:
     t = parse_exact(args.t)
     if getattr(args, "predicate_file", None):
-        with open(args.predicate_file, "r", encoding="utf-8") as fh:
-            expr = parse(fh.read())
+        try:
+            expr = parse(read_text(args.predicate_file))
+        except ParseError as exc:
+            raise InadmissibleInput(f"{args.predicate_file}: {exc}") from exc
         return _polynomial(args, expr, expr.arity(), t, "file")
     name = args.predicate
     if name == "multivariate":
         terms = {}
         for spec_txt in args.terms or ["1:1,1"]:
-            coeff_txt, exps_txt = spec_txt.split(":")
-            key = tuple(int(e) for e in exps_txt.split(","))
+            coeff_txt, colon, exps = spec_txt.partition(":")
+            if not colon or not all(e.isascii() and e.isdigit() for e in exps.split(",")):
+                raise InadmissibleInput(f"--terms entry {spec_txt!r} is not coeff:e1,e2,... with exponents >= 0")
+            key = tuple(int(e) for e in exps.split(","))
             terms[key] = terms.get(key, Fraction(0)) + parse_exact(coeff_txt)
         if len({len(key) for key in terms}) > 1:
             raise InadmissibleInput("--terms exponent tuples differ in length")
@@ -114,7 +126,7 @@ def build_predicate(args) -> PredicateInstance:
         return _polynomial(args, polynomial_expr(terms), k, t, "multivariate")
     delta = _deltas(args, 1)[0]
     if name == "univariate":
-        degree = args.degree or 1
+        degree = 1 if args.degree is None else args.degree
         if args.coeffs:
             coeffs = [parse_exact(c) for c in args.coeffs]
         else:
@@ -229,7 +241,7 @@ def _analyze_rational(args, p: Fraction) -> int:
 def _analyze_algorithm(args, p: Fraction) -> int:
     if args.algorithm != "hull":
         raise InadmissibleInput(f"unknown algorithm {args.algorithm!r}")
-    n = args.n or 16
+    n = 16 if args.n is None else args.n
     delta = parse_exact(args.delta[0]) if args.delta else Fraction(1, 2)
     shape = PerturbationShape(args.shape or "box", delta)
     inst = make_orientation2d([(0, 0), (1, 0), (0, 1)], delta=delta, emax=args.emax)
@@ -265,7 +277,14 @@ def _analyze_algorithm(args, p: Fraction) -> int:
 # --- enumerate -------------------------------------------------------------------
 
 
+def _float_format(L: int, K: int) -> None:
+    """Refuse --L and --K unless F_{L,K} exists."""
+    if L < 1 or K < 2:
+        raise InadmissibleInput(f"F_{{{L},{K}}} needs --L >= 1 and --K >= 2")
+
+
 def cmd_enumerate(args) -> int:
+    _float_format(args.L, args.K)
     a, b = parse_exact(args.universe[0]), parse_exact(args.universe[1])
     c, d = parse_exact(args.target[0]), parse_exact(args.target[1])
     if args.grid:
@@ -308,8 +327,11 @@ def _simulate_chunk(payload) -> int:
 
 
 def cmd_simulate(args) -> int:
-    inst = build_predicate(args)
     L, K = args.L, args.K
+    _float_format(L, K)
+    if args.trials < 0:
+        raise InadmissibleInput("--trials must not be negative")
+    inst = build_predicate(args)
     seed = args.seed if args.seed is not None else default_seed()
     jobs = max(1, args.jobs)
     base = args.trials // jobs
@@ -343,15 +365,14 @@ def cmd_simulate(args) -> int:
 
 def read_points_csv(path: str) -> list[tuple[Fraction, Fraction]]:
     pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise InadmissibleInput(f"{path}:{line_no}: expected 'x,y'")
-            pts.append((parse_exact(parts[0]), parse_exact(parts[1])))
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise InadmissibleInput(f"{path}:{line_no}: expected 'x,y'")
+        pts.append((parse_exact(parts[0]), parse_exact(parts[1])))
     return pts
 
 

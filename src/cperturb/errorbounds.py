@@ -22,14 +22,15 @@ are guarded independently and the composite sign follows from the certified
 child signs, which is exactly the shape the region analysis assumes (the
 fp-safe set is the product of the children's safe sets).
 
-Guards are compiled once per expression (compile_guard) and memoized on the
-expression instance.  Each maximal arithmetic block becomes straight-line
-Python on signed integer significand/exponent pairs, rounding every operation
-exactly as softfloat does.  The dynamic sup (the sup recursion seeded with
-the actual input magnitudes) is carried as an exact dyadic integer pair, so
-the certify test |v| > min(ind * dynsup * 2^-L, static) is an integer
-shift-compare; the static bound is computed only when that test fails and is
-then cached per (block, emax, L).  A block holding a non-dyadic constant
+Guards are built once per expression (compile_guard), memoized on the
+expression instance.  Each maximal arithmetic block is planned as its nodes in
+post-order; one fold of the plan per (emax, L) gives the block's static bound,
+its exact stage's range record and its value quantum.  On first use the plan
+becomes straight-line Python on signed integer significand/exponent pairs,
+rounding every operation exactly as softfloat does.  The dynamic sup (the sup
+recursion seeded with the actual input magnitudes) is carried as an exact
+dyadic integer pair, so the certify test |v| > min(ind * dynsup * 2^-L,
+static) is an integer shift-compare; a block holding a non-dyadic constant
 carries its dynamic sup as an exact Fraction instead.
 
 A block with only dyadic constants first runs an exact stage on the same
@@ -50,6 +51,7 @@ from typing import Optional, Sequence, Union
 
 from .exact import Exact
 from .expr import Abs, Add, Const, Div, Expr, Input, Max, Min, Mul, Sub
+from .grid import InadmissibleInput
 from .reals import ceil_log2
 from .softfloat import (
     RangeError,
@@ -79,13 +81,12 @@ class AnnotatedExpr:
 
 
 @lru_cache(maxsize=8192)
-def annotate(e: Expr, emax: int, prec: int | None = None) -> AnnotatedExpr:
-    """Attach (ind, sup) to every node, for inputs bounded by 2^emax.
-
-    When ``prec`` is given, constants exactly representable at that precision
-    get ind 0; without it every nonzero constant conservatively counts one
-    rounding, which keeps the resulting static bound valid for every L.
-    Annotations are pure values, so results are memoized.
+def annotate(e: Expr, emax: int, prec: int) -> AnnotatedExpr:
+    """Attach (ind, sup) to every node, for inputs bounded by 2^emax and
+    constants rounded at precision ``prec`` (exactly representable ones get
+    ind 0).  Annotations are pure values, so results are memoized.  The
+    guard's own bound comes from _Block._fold; this tree form is the
+    reference the tests compare that fold against.
     """
     domain = Fraction(2) ** emax
 
@@ -94,14 +95,11 @@ def annotate(e: Expr, emax: int, prec: int | None = None) -> AnnotatedExpr:
             c = n.value
             if c == 0:
                 return AnnotatedExpr(n, 0, Fraction(0), ())
-            if prec is not None:
-                # K plays no role in representability away from the range ends;
-                # a wide exponent field stands in for "some admissible K".
-                exact = is_representable(c, prec, 64)
-                ind = 0 if exact else 1
-                sup = abs(c) if exact else max(abs(c), abs(fl_round(c, prec, 64).to_fraction()))
-            else:
-                ind, sup = 1, abs(c)
+            # K plays no role in representability away from the range ends;
+            # a wide exponent field stands in for "some admissible K".
+            exact = is_representable(c, prec, 64)
+            ind = 0 if exact else 1
+            sup = abs(c) if exact else max(abs(c), abs(fl_round(c, prec, 64).to_fraction()))
             return AnnotatedExpr(n, ind, sup, ())
         if isinstance(n, Input):
             return AnnotatedExpr(n, 0, domain, ())
@@ -324,9 +322,9 @@ def _magnitude(M: int, q: int) -> Fraction:
     return Fraction(M << q) if q >= 0 else Fraction(M, 1 << -q)
 
 
-def _dyadic(v: Fraction) -> bool:
-    d = v.denominator
-    return d & (d - 1) == 0
+def _least(parts) -> dict:
+    """{degree d: the least exponent c} over the (d, c) parts."""
+    return dict(sorted(parts, reverse=True))
 
 
 _POSITIVE = SignCertified(1)
@@ -336,86 +334,125 @@ _FAILED = GuardFailed()
 
 class _Block:
     """One arithmetic expression (Add/Sub/Mul/Abs/Min/Max over inputs and
-    constants) compiled into one straight-line function, one numbered step
-    per node in post-order."""
+    constants) planned as one numbered step per node in post-order.
+
+    The plan is the block's one structure.  _fold reads it for the static
+    bound, the range-safe record and the value quantum; the two
+    straight-line functions are written from it and exec'd on first use,
+    so an analysis that reads only the quantum compiles nothing."""
 
     def __init__(self, node: Expr):
         self.node = node
-        plan: list[tuple[type, tuple[int, ...]]] = []  # (node kind, child numbers)
-        self.consts: list[Fraction] = []
-        self.rational = any(
-            isinstance(n, Const) and not _dyadic(n.value) for n in node.walk()
-        )
+        self._plan = plan = []  # (kind, child numbers, index) per node
+        self.consts = consts = []
+        first: dict[int, int] = {}  # input index -> number of its one node
+
+        def visit(n: Expr) -> int:
+            kind = type(n)
+            if kind is Input:
+                k, kids = n.index, ()
+                if k in first:  # loaded and checked once; later reads reuse it
+                    return first[k]
+                first[k] = len(plan)
+            elif kind is Const:
+                k, kids = len(consts), ()
+                consts.append(n.value)
+            elif kind is Div:
+                raise UnsupportedNode("division below an arithmetic node")
+            elif kind in _DYADIC_SUP:
+                k, kids = _OP_INDEX.get(kind, 0), tuple(map(visit, n.children()))
+            else:
+                raise TypeError(f"unknown node {kind.__name__}")
+            plan.append((kind, kids, k))
+            return len(plan) - 1
+
+        visit(node)
+        self.rational = any(c.denominator & (c.denominator - 1) for c in self.consts)  # non-dyadic
+        self._folds, self._tables, self._safe = {}, {}, {}  # per (emax, L), (L, K), (emax, L, K)
+        # instance attributes keep verdict's loads fast; stubs write the code
+        self._run = self._write_run
+        self._exact = None if self.rational else self._write_exact
+        self._fixed = None
+        self._code = None
+
+    def _write_run(self, *args):
+        return self._write()[0](*args)
+
+    def _write_exact(self, *args):
+        return self._write()[1](*args)
+
+    def _write(self) -> tuple:
+        """The rounded block and, with only dyadic constants, the exact stage,
+        written and exec'd once; each stub still in place gives way to them."""
+        if self._code is not None:
+            return self._code
         sup = _RATIONAL_SUP if self.rational else _DYADIC_SUP
         lines = [_HEAD]
         exact = ["def exact(xs, Q, H):\n"]
-        first: dict[int, int] = {}  # input index -> number of its first node
-
-        def emit(n: Expr) -> int:
-            kind = type(n)
-            if kind is Div:
-                raise UnsupportedNode("division below an arithmetic node")
-            if kind not in sup:
-                raise TypeError(f"unknown node {kind.__name__}")
-            kids = tuple(emit(c) for c in n.children())
-            i = len(plan)
-            if kind is Input:
-                k = n.index
-                if k in first:  # loaded and checked once; later reads reuse it
-                    plan.append((kind, ()))
-                    return first[k]
-                first[k] = i
-            elif kind is Const:
-                k = len(self.consts)
-                self.consts.append(n.value)
-            else:
-                k = _OP_INDEX.get(kind, 0)
-            plan.append((kind, kids))
+        for i, (kind, kids, k) in enumerate(self._plan):
             a, b = (kids + (0, 0))[:2]
             if kind is not Const:
                 lines.append(_VALUE[kind].format(i=i, k=k, a=a, b=b))
             lines.append(sup[kind].format(i=i, k=k, a=a, b=b))
             exact.append(_EXACT[kind].format(i=i, k=k, a=a, b=b))
-            return i
-
-        root = emit(node)
+        root = len(self._plan) - 1
         lines.append((_RATIONAL_TAIL if self.rational else _DYADIC_TAIL).format(i=root))
         if not self.rational:  # a non-dyadic constant has no exact pair
             lines += exact + [f"    return M{root}, q{root}\n"]
-        namespace = {
-            "RangeError": RangeError,
-            "_edge": _edge,
-            "_magnitude": _magnitude,
-            "_OP_NAMES": _OP_NAMES,
-            "X": [(c.numerator, 1 - c.denominator.bit_length()) for c in self.consts],
-        }
+        namespace = {"RangeError": RangeError, "_edge": _edge, "_magnitude": _magnitude, "_OP_NAMES": _OP_NAMES,
+                     "X": [(c.numerator, 1 - c.denominator.bit_length()) for c in self.consts]}
         exec(compile("".join(lines), "<compiled guard block>", "exec"), namespace)
-        self._run = namespace["block"]
-        self._exact = namespace.get("exact")
-        self._plan = plan
-        self._tables: dict = {}
-        self._static: dict = {}
-        self._safe: dict = {}
-        # with no constants the table holds only the block's ind, for every L, K
-        self._fixed = None if self.consts else (self._ind([]),)
+        self._code = namespace["block"], namespace.get("exact")
+        if self._run == self._write_run:
+            self._run = self._code[0]
+        if self._exact == self._write_exact:
+            self._exact = self._code[1]
+        if not self.consts:  # the table holds only the block's ind, for every L, K
+            self._fixed = (self._fold(0, 1)[0],)
+        return self._code
 
-    def _ind(self, const_inds: list[int]) -> int:
-        """ind of the block from the inds of its constants, node by node."""
-        inds: list[int] = []
-        consts = iter(const_inds)
-        for kind, kids in self._plan:
+    def _fold(self, emax: int, L: int) -> tuple:
+        """One pass over the plan at (emax, L) by annotate's rules, each constant
+        rounded once at L (a wide exponent field stands in for every admissible
+        K): (ind, B, top, quanta).  B = ind * sup * 2^-L is the static bound as
+        (numerator, denominator); 2^top bounds every node's sup, each Add and
+        Sub doubling the larger; quanta maps each degree d to the least c over
+        the parts d * Q + c of every node's value quantum, for inputs on 2^Q.
+        ind depends on L alone."""
+        fold = self._folds.get((emax, L))
+        if fold is not None:
+            return fold
+        domain = 1 << emax if emax >= 0 else Fraction(1, 1 << -emax)
+        nodes = []  # per node (ind, sup, top, parts)
+        for kind, kids, k in self._plan:
             if kind is Input:
-                v = 0
+                node = 0, domain, emax, {1: 0}
             elif kind is Const:
-                v = next(consts)
-            elif kind in (Add, Sub):
-                v = 1 + max(inds[kids[0]], inds[kids[1]])
-            elif kind is Mul:
-                v = 1 + inds[kids[0]] + inds[kids[1]]
-            else:  # Abs, Min, Max
-                v = max(inds[k] for k in kids)
-            inds.append(v)
-        return inds[-1]
+                c = self.consts[k]
+                v = fl_round(c, L, 64).to_fraction() if c else c
+                s, n = max(abs(c), abs(v)), v.numerator
+                node = (int(v != c), s, s.numerator.bit_length() + 1 - s.denominator.bit_length(),
+                        {0: (n & -n).bit_length() - v.denominator.bit_length()} if n else {})
+            else:  # Abs reads its one child twice
+                (ia, sa, ta, pa), (ib, sb, tb, pb) = nodes[kids[0]], nodes[kids[-1]]
+                if kind is Mul:
+                    parts = _least([(da + db, ca + cb) for da, ca in pa.items() for db, cb in pb.items()])
+                    node = 1 + ia + ib, sa * sb, ta + tb, parts
+                else:
+                    parts = pa if pa == pb else _least([*pa.items(), *pb.items()])
+                    if kind is Add or kind is Sub:
+                        node = 1 + max(ia, ib), sa + sb, 1 + max(ta, tb), parts
+                    else:
+                        node = max(ia, ib), max(sa, sb), max(ta, tb), parts
+            nodes.append(node)
+        ind, sup = nodes[-1][:2]
+        B = Fraction(ind * sup, 1 << L)
+        top = max(t for _, _, t, _ in nodes)
+        quanta = _least([p for *_, parts in nodes for p in parts.items()])
+        if len(self._folds) >= _CACHE_LIMIT:
+            self._folds.clear()
+        fold = self._folds[(emax, L)] = (ind, (B.numerator, B.denominator), top, quanta)
+        return fold
 
     def _table(self, L: int, K: int) -> tuple:
         """Each constant rounded into F_{L,K} with its sup (None where the
@@ -423,73 +460,40 @@ class _Block:
         table = self._tables.get((L, K))
         if table is not None:
             return table
-        entries, inds = [], []
+        entries = []
         for c in self.consts:
             try:
                 f = fl_round(c, L, K, source_op="const")
             except RangeError:
                 entries.append(None)
-                inds.append(0)
                 continue
-            v = f.to_fraction()
-            pair = to_pair(f)
-            s = max(abs(c), abs(v))
-            if self.rational:
-                entries.append(pair + (s,))
-            else:
-                entries.append(pair + (s.numerator, 1 - s.denominator.bit_length()))
-            inds.append(0 if v == c else 1)
+            s = max(abs(c), abs(f.to_fraction()))
+            entries.append(to_pair(f) + ((s,) if self.rational else (s.numerator, 1 - s.denominator.bit_length())))
         if len(self._tables) >= _CACHE_LIMIT:
             self._tables.clear()
-        table = self._tables[(L, K)] = (*entries, self._ind(inds))
+        table = self._tables[(L, K)] = (*entries, self._fold(0, L)[0])  # ind: any emax
         return table
 
     def _static_bound(self, emax: int, L: int) -> tuple[int, int]:
         """static_bound of the block as (numerator, denominator)."""
-        b = self._static.get((emax, L))
-        if b is None:
-            s = static_bound(annotate(self.node, emax, prec=L), L)
-            if len(self._static) >= _CACHE_LIMIT:
-                self._static.clear()
-            b = self._static[(emax, L)] = (s.numerator, s.denominator)
-        return b
+        return (self._folds.get((emax, L)) or self._fold(emax, L))[1]
 
     def _range_safe(self, emax: int, L: int, K: int) -> Optional[tuple[int, int, int]]:
         """(Q_safe, 2B) as (Q_safe, numerator, denominator), B the static bound,
         when no range error can occur at (emax, L, K) for inputs below 2^emax
         that are multiples of 2^Q_safe; else None.  No overflow: a rounded node
         is at most sup * (1 + 2^-L)^ind <= sup * e^(1/2) < 2 * sup once
-        ind <= 2^(L-1), so 2 * sup <= 2^(2^(K-1)) at each node, sup (annotate's
-        rules) rounded up to 2^top.  No inexact underflow: each node's value
-        quantum, the least d * Q + c over its parts {degree d: exponent c}, is
-        at least e_min - L (value_quantum's rule); rounding keeps a quantum."""
+        ind <= 2^(L-1), so 2 * sup <= 2^(2^(K-1)) at each node, the fold's
+        top.  No inexact underflow: each node's value quantum is at least
+        e_min - L (value_quantum's rule); rounding keeps a quantum.  And every
+        constant rounds into F_{L,K}."""
+        ind, (num, den), top, quanta = self._fold(emax, L)
+        target = 1 - (1 << (K - 1)) - L
         record = None
-        table = self._fixed or self._table(L, K)
-        if None not in table and table[-1] <= 1 << (L - 1):
-            emx, target = 1 << (K - 1), -(1 << (K - 1)) + 1 - L
-            tops, terms = [], []  # per node: top, and the quantum's parts
-            consts = iter(table[:-1])
-            for kind, kids in self._plan:
-                if kind is Input:
-                    top, parts = emax, [(1, 0)]
-                elif kind is Const:
-                    M, q, D, E = next(consts)
-                    top, parts = E + D.bit_length(), [(0, q + (M & -M).bit_length() - 1)] if M else []
-                elif kind is Mul:
-                    a, b = kids
-                    top = tops[a] + tops[b]
-                    parts = [(da + db, ca + cb) for da, ca in terms[a].items() for db, cb in terms[b].items()]
-                else:  # Add and Sub double the sup; Abs, Min and Max keep it
-                    top = max(tops[k] for k in kids) + (kind in (Add, Sub))
-                    parts = [p for k in kids for p in terms[k].items()]
-                if top >= emx or any(not d and c < target for d, c in parts):
-                    break
-                tops.append(top)
-                terms.append(dict(sorted(parts, reverse=True)))  # per degree, the least exponent
-            else:
-                num, den = self._static_bound(emax, L)
-                Q = max((-((c - target) // d) for t in terms for d, c in t.items() if d), default=target)
-                record = (Q, 2 * num, den)
+        if (ind <= 1 << (L - 1) and top < 1 << (K - 1) and quanta.get(0, target) >= target
+                and None not in (self._fixed or self._table(L, K))):
+            Q = max((-((c - target) // d) for d, c in quanta.items() if d), default=target)
+            record = (Q, 2 * num, den)
         if len(self._safe) >= _CACHE_LIMIT:
             self._safe.clear()
         self._safe[(emax, L, K)] = record
@@ -537,14 +541,14 @@ def _input_pair(v: Union[SoftFloat, Exact], L: int, K: int) -> tuple[int, int]:
         v = v.to_fraction()  # a member of another F_{L',K'}: taken by value
     f = fl_round(Fraction(v), L, K, source_op="input")
     if f.to_fraction() != v:
-        raise ValueError(f"input {v} is not exactly representable in F_{{{L},{K}}}")
+        raise InadmissibleInput(f"input {v} is not exactly representable in F_{{{L},{K}}}")
     return to_pair(f)
 
 
 def _input_pairs(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> list[tuple[int, int]]:
     """The inputs as pairs; members of F_{L,K} as SoftFloats take the fast path."""
     if L < 1 or K < 2:
-        raise ValueError("need L >= 1 and K >= 2")
+        raise InadmissibleInput("need L >= 1 and K >= 2")
     return [
         to_pair(v) if v.__class__ is SoftFloat and v.prec == L and v.expbits == K else _input_pair(v, L, K)
         for v in x
@@ -563,6 +567,7 @@ class CompiledGuard:
 
     def __init__(self, e: Expr):
         self.expr = e
+        self.blocks: list[_Block] = []
         self._whole: Optional[_Block] = None  # e as one block, for evaluate()
         self._verdict = self._compile(e)
 
@@ -595,6 +600,7 @@ class CompiledGuard:
 
             return absolute
         block = _Block(n)
+        self.blocks.append(block)
         if n is self.expr:
             self._whole = block
         return block.verdict
@@ -644,8 +650,9 @@ def guarded_eval(
 
 def dynamic_bound(e: Expr, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> Fraction:
     """Input-dependent error bound; never exceeds the static bound."""
-    _, raw = _guard_of(e).evaluate(x, L, K)
-    return min(raw, static_bound(annotate(e, emax, prec=L), L))
+    guard = _guard_of(e)
+    _, raw = guard.evaluate(x, L, K)
+    return min(raw, Fraction(*guard._whole._static_bound(emax, L)))
 
 
 # --- closed-form fp-safety bounds -------------------------------------------
@@ -688,39 +695,9 @@ def value_quantum(e: Expr, emax: int, L: int) -> int:
 
     Any inexact intermediate is then at least 2^(L+1+q) in magnitude, which is
     what the exponent-width requirement uses to rule out inexact underflow.
-    The returned q is the minimum over every node of the expression.
+    The returned q is the least d * (emax-L-1) + c over the quantum parts of
+    every node of every block of e's guard (_Block._fold), 0 when every
+    value is zero; no block code is written.
     """
-    seen: list[int] = []
-
-    def walk(n: Expr) -> int:
-        if isinstance(n, Const):
-            if n.value == 0:
-                q = 0
-            else:
-                c = fl_round(n.value, L, 64).to_fraction()
-                num = abs(c.numerator)
-                q = (num & -num).bit_length() - 1 - (c.denominator.bit_length() - 1)
-        elif isinstance(n, Input):
-            q = emax - L - 1
-        elif isinstance(n, Abs):
-            q = walk(n.operand)
-        elif isinstance(n, Div):
-            raise UnsupportedNode("no quantum through division")
-        else:
-            a, b = walk(n.left), walk(n.right)
-            q = a + b if isinstance(n, Mul) else min(a, b)
-        seen.append(q)
-        return q
-
-    for root in _arith_roots(e):
-        walk(root)
-    return min(seen)
-
-
-def _arith_roots(e: Expr) -> list[Expr]:
-    """The maximal arithmetic blocks guarded_eval evaluates."""
-    if isinstance(e, (Min, Max, Div)):
-        return _arith_roots(e.left) + _arith_roots(e.right)
-    if isinstance(e, Abs):
-        return _arith_roots(e.operand)
-    return [e]
+    Q, blocks = emax - L - 1, _guard_of(e).blocks
+    return min((d * Q + c for b in blocks for d, c in b._fold(emax, L)[3].items()), default=0)

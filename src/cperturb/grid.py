@@ -24,6 +24,11 @@ from .softfloat import SoftFloat, _member, _round_scaled, exponent_min, is_repre
 Exact = Fraction
 
 
+class InadmissibleInput(ValueError):
+    """A parameter outside its domain, or input that no perturbation can
+    make solvable (a hull of fewer than three points): refused up front."""
+
+
 class EmptyGrid(ValueError):
     """An interval contains no grid point (tau too coarse)."""
 
@@ -105,7 +110,7 @@ class GridSpec:
     def __post_init__(self):
         # the grid construction needs emax << 2^(K-1); enforce emax + 1 < 2^(K-1)
         if not self.emax + 1 < (1 << (self.K - 1)):
-            raise ValueError(f"emax={self.emax} too large for K={self.K}")
+            raise InadmissibleInput(f"emax={self.emax} too large for K={self.K}")
 
     @property
     def tau(self) -> Fraction:

@@ -2,7 +2,9 @@
 
 It evaluates each node with softfloat's fl_round/fl_binop and carries the
 dynamic sup as a Fraction, exactly as the guard was first specified.  Tests
-compare errorbounds.guarded_eval (compiled integer code) against it.
+compare errorbounds.guarded_eval (compiled integer code) against it.  The
+node walks that the block's one fold (errorbounds._Block._fold) replaced,
+the exact stage's range record and the value quantum, are kept here too.
 """
 
 from __future__ import annotations
@@ -126,3 +128,92 @@ def reference_guarded_eval(e: Expr, x, L: int, K: int, emax: int):
         return GuardFailed()
 
     return guard(e)
+
+
+def reference_range_safe(e: Expr, emax: int, L: int, K: int):
+    """The exact stage's record as _Block._range_safe first computed it, for
+    the arithmetic block e: None unless every constant rounds into F_{L,K},
+    ind <= 2^(L-1), every node's top stays below 2^(K-1) and no node's
+    value quantum has a degree-0 part below e_min - L; else (Q_safe, 2B) as
+    (Q_safe, numerator, denominator).  A node's top is that of its sup
+    rounded up to a power of two, summed at Mul and one more than the larger
+    at Add and Sub; its quantum is a dict {degree d in Q: least exponent c}
+    of the parts d * Q + c, inputs being multiples of 2^Q."""
+    emx, target = 1 << (K - 1), -(1 << (K - 1)) + 1 - L
+    ann = annotate(e, emax, prec=L)
+    if ann.ind > 1 << (L - 1):
+        return None
+    nodes = []  # per node in post-order: top, and the quantum's parts
+
+    def walk(n: Expr):
+        if isinstance(n, Input):
+            top, parts = emax, [(1, 0)]
+        elif isinstance(n, Const):
+            f = fl_round(n.value, L, K, source_op="const")
+            v = f.to_fraction()
+            s = max(abs(n.value), abs(v))
+            top = s.numerator.bit_length() + 1 - s.denominator.bit_length()
+            num = abs(v.numerator)
+            parts = [(0, (num & -num).bit_length() - v.denominator.bit_length())] if num else []
+        elif isinstance(n, Mul):
+            (ta, pa), (tb, pb) = walk(n.left), walk(n.right)
+            top = ta + tb
+            parts = [(da + db, ca + cb) for da, ca in pa.items() for db, cb in pb.items()]
+        else:  # Add and Sub double the sup; Abs, Min and Max keep it
+            kids = [walk(c) for c in n.children()]
+            top = max(t for t, _ in kids) + isinstance(n, (Add, Sub))
+            parts = [p for _, pk in kids for p in pk.items()]
+        terms = dict(sorted(parts, reverse=True))  # per degree, the least exponent
+        nodes.append((top, terms))
+        return top, terms
+
+    try:
+        walk(e)
+    except RangeError:
+        return None
+    for top, terms in nodes:
+        if top >= emx or any(not d and c < target for d, c in terms.items()):
+            return None
+    B = static_bound(ann, L)
+    Q = max((-((c - target) // d) for _, t in nodes for d, c in t.items() if d), default=target)
+    return Q, 2 * B.numerator, B.denominator
+
+
+def arith_roots(e: Expr) -> list[Expr]:
+    """The maximal arithmetic blocks guarded_eval evaluates."""
+    if isinstance(e, (Min, Max, Div)):
+        return arith_roots(e.left) + arith_roots(e.right)
+    if isinstance(e, Abs):
+        return arith_roots(e.operand)
+    return [e]
+
+
+def reference_value_quantum(e: Expr, emax: int, L: int) -> int:
+    """value_quantum as first specified: the least quantum over every node
+    of every block, a constant rounded to L bits giving its own dyadic
+    quantum and a zero constant giving 0."""
+    seen: list[int] = []
+
+    def walk(n: Expr) -> int:
+        if isinstance(n, Const):
+            if n.value == 0:
+                q = 0
+            else:
+                c = fl_round(n.value, L, 64).to_fraction()
+                num = abs(c.numerator)
+                q = (num & -num).bit_length() - 1 - (c.denominator.bit_length() - 1)
+        elif isinstance(n, Input):
+            q = emax - L - 1
+        elif isinstance(n, Abs):
+            q = walk(n.operand)
+        elif isinstance(n, Div):
+            raise UnsupportedNode("no quantum through division")
+        else:
+            a, b = walk(n.left), walk(n.right)
+            q = a + b if isinstance(n, Mul) else min(a, b)
+        seen.append(q)
+        return q
+
+    for root in arith_roots(e):
+        walk(root)
+    return min(seen)

@@ -145,6 +145,56 @@ class TestInadmissibleParameters:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"inadmissible input: {message}\n"
 
+    SIM = ["simulate", "--L", "8", "--K", "5", "--trials", "3"]
+    ENUM = ["enumerate", "--universe", "0", "1", "--target", "0", "1"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--L", "0", "--K", "5", "--trials", "3"], "F_{0,5} needs --L >= 1 and --K >= 2"),
+        (["simulate", "--L", "8", "--K", "1", "--trials", "3"], "F_{8,1} needs --L >= 1 and --K >= 2"),
+        (["analyze", "--coeffs", "1", "--p", "1/2"], "need a_d != 0 and degree >= 1"),
+        (["analyze", "--coeffs", "1", "0", "--p", "1/2"], "need a_d != 0 and degree >= 1"),
+        (["analyze", "--degree", "-2", "--p", "1/2"], "need a_d != 0 and degree >= 1"),
+        ([*SIM, "--coeffs", "1"], "need a_d != 0 and degree >= 1"),
+        (["analyze", "--predicate", "in_circle", "--radius", "0", "--p", "1/2"],
+         "radius must be positive"),
+        (["analyze", "--predicate", "in_box", "--corner-u", "0", "0", "--corner-v", "0", "0",
+          "--p", "1/2"], "degenerate box"),
+        (["analyze", "--algorithm", "hull", "--n", "-3", "--p", "1/2"], "need at least one evaluation"),
+        (["analyze", "--algorithm", "hull", "--n", "0", "--p", "1/2"], "need at least one evaluation"),
+        (["analyze", "--degree", "0", "--p", "1/2"], "need a_d != 0 and degree >= 1"),
+        (["simulate", "--L", "8", "--K", "5", "--trials", "-1"], "--trials must not be negative"),
+        (["enumerate", "--L", "0", "--K", "4", *ENUM[1:]], "F_{0,4} needs --L >= 1 and --K >= 2"),
+        (["enumerate", "--L", "4", "--K", "1", *ENUM[1:]], "F_{4,1} needs --L >= 1 and --K >= 2"),
+        ([*SIM[:4], "2", *SIM[5:], "--xbar", "3"], "emax=2 too large for K=2"),
+        ([*SIM, "--predicate", "in_circle", "--center", "1/3", "0"],
+         "input 1/3 is not exactly representable in F_{8,5}"),
+        (["analyze", "--predicate", "multivariate", "--terms", "1", "--p", "1/2"],
+         "--terms entry '1' is not coeff:e1,e2,... with exponents >= 0"),
+        (["analyze", "--predicate", "multivariate", "--terms", "1:-1,1", "--p", "1/2"],
+         "--terms entry '1:-1,1' is not coeff:e1,e2,... with exponents >= 0"),
+    ], ids=["simulate_L0", "simulate_K1", "coeffs_constant", "coeffs_leading_zero",
+            "degree_negative", "simulate_coeffs_constant", "radius_zero", "box_degenerate",
+            "hull_n_negative", "hull_n_zero", "degree_zero", "trials_negative", "enumerate_L0",
+            "enumerate_K1", "simulate_emax_beyond_K", "simulate_fixed_slot_off_the_floats",
+            "terms_no_colon", "terms_negative_exponent"])
+    def test_checked_values_exit_two(self, argv, message, capsys):
+        # each ended in a ValueError traceback, ran on a substituted value or
+        # went unchecked
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"inadmissible input: {message}\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_unreadable_predicate_file_exits_two(self, command, tmp_path, capsys):
+        flags = ["--p", "1/2"] if command == "analyze" else self.SIM[1:]
+        missing, empty = tmp_path / "missing.txt", tmp_path / "empty.txt"
+        empty.write_text("")
+        assert main([command, "--predicate-file", str(missing), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"inadmissible input: cannot read {missing}: ")
+        assert main([command, "--predicate-file", str(empty), *flags]) == 2
+        assert capsys.readouterr().err == f"inadmissible input: {empty}: unexpected end of expression\n"
+
 
 class TestSimulate:
     def test_header_only(self, capsys):

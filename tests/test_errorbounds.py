@@ -34,49 +34,50 @@ def chain_product(k: int, coeff=F(1, 3)) -> "Expr":
 
 class TestAnnotate:
     def test_kfold_product(self):
-        # a * x1 * ... * xk left to right: ind = k+1, sup = |a| * 2^(k*emax)
+        # a * x1 * ... * xk left to right: ind = k+1, sup = max(|a|, |fl(a)|) * 2^(k*emax)
+        a = max(F(1, 3), fl_round(F(1, 3), 12, 64).to_fraction())
         for k in (1, 3, 5):
-            ann = annotate(chain_product(k), 2)
+            ann = annotate(chain_product(k), 2, prec=12)
             assert ann.ind == k + 1
-            assert ann.sup == F(1, 3) * F(2) ** (k * 2)
+            assert ann.sup == a * F(2) ** (k * 2)
 
     def test_single_input(self):
-        ann = annotate(Input(0), 3)
+        ann = annotate(Input(0), 3, prec=8)
         assert (ann.ind, ann.sup) == (0, 8)
 
     def test_add_row(self):
-        ann = annotate(Add(Input(0), Input(1)), 1)
+        ann = annotate(Add(Input(0), Input(1)), 1, prec=8)
         assert (ann.ind, ann.sup) == (1, 4)
 
     def test_minmax_rows(self):
-        ann = annotate(Max(Input(0), Add(Input(0), Input(1))), 1)
+        ann = annotate(Max(Input(0), Add(Input(0), Input(1))), 1, prec=8)
         assert (ann.ind, ann.sup) == (1, 4)
-        ann = annotate(Abs(Add(Input(0), Input(1))), 1)
+        ann = annotate(Abs(Add(Input(0), Input(1))), 1, prec=8)
         assert (ann.ind, ann.sup) == (1, 4)
 
     def test_representable_constant_at_prec(self):
         assert annotate(Const(F(3, 4)), 0, prec=4).ind == 0
         assert annotate(Const(F(1, 3)), 0, prec=4).ind == 1
-        assert annotate(Const(F(1, 3)), 0).ind == 1  # conservative without L
 
     def test_div_refused(self):
         with pytest.raises(UnsupportedNode):
-            annotate(Div(Input(0), Input(1)), 1)
+            annotate(Div(Input(0), Input(1)), 1, prec=8)
 
 
 class TestStaticBound:
     def test_kfold_closed_form(self):
         k, L = 4, 12
-        ann = annotate(chain_product(k), 2)
-        assert static_bound(ann, L) == (k + 1) * F(1, 3) * F(2) ** (k * 2 - L)
+        ann = annotate(chain_product(k), 2, prec=L)
+        a = max(F(1, 3), fl_round(F(1, 3), L, 64).to_fraction())
+        assert static_bound(ann, L) == (k + 1) * a * F(2) ** (k * 2 - L)
 
     def test_input_is_exact(self):
-        assert static_bound(annotate(Input(0), 5), 10) == 0
+        assert static_bound(annotate(Input(0), 5, prec=10), 10) == 0
 
     def test_halving(self):
-        ann = annotate(parse("(sub (mul x0 x1) (mul x2 x3))"), 3)
+        e = parse("(sub (mul x0 x1) (mul x2 x3))")
         for L in (4, 9, 17):
-            assert static_bound(ann, L + 1) == static_bound(ann, L) / 2
+            assert static_bound(annotate(e, 3, prec=L + 1), L + 1) == static_bound(annotate(e, 3, prec=L), L) / 2
 
 
 class TestDynamicBound:
