@@ -15,7 +15,6 @@ from .softfloat import (
     fl_round,
     is_representable,
     max_magnitude,
-    to_rational,
 )
 from .exact import ExactPole, rat_eval, rat_sign
 from .expr import Expr, parse, serialize

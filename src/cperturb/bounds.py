@@ -26,7 +26,7 @@ from .exact import Exact
 from .expr import Expr, expand_polynomial  # noqa: F401
 from .reals import RVal, ceil_log2, nth_root, nth_root_exact, pi_enclosure
 from .errorbounds import safety_lower_multivariate, safety_lower_univariate
-from .grid import InadmissibleInput
+from .grid import InadmissibleInput, compute_emax
 
 
 class NotAnalyzable(ValueError):
@@ -301,10 +301,15 @@ class PredicateDescription:
         object.__setattr__(
             self, "a_box", tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
         )
-        dom = Fraction(2) ** self.emax
-        for (lo, hi), d in zip(self.a_box, self.delta):
-            if max(abs(lo - d), abs(hi + d)) > dom:
-                raise InadmissibleInput("U_delta(A) leaves [-2^emax, 2^emax]")
+        if any(lo > hi for lo, hi in self.a_box):
+            raise InadmissibleInput("a_box needs lo <= hi in every coordinate")
+        # with lo <= hi, max(|lo - d|, |hi + d|) = max(|lo|, |hi|) + d, which
+        # compute_emax bounds from 2^0 up: a negative emax scales the box to it
+        ends, deltas = [v for end in self.a_box for v in end], [d for d in self.delta for _ in "lh"]
+        if self.emax < 0:
+            ends, deltas = [v * (1 << -self.emax) for v in ends], [d * (1 << -self.emax) for d in deltas]
+        if ends and compute_emax(ends, deltas) > max(self.emax, 0):
+            raise InadmissibleInput("U_delta(A) leaves [-2^emax, 2^emax]")
 
     def with_gamma_hat(self, gamma_hat: tuple[Fraction, ...]) -> "PredicateDescription":
         """This description with gamma_hat set.  __post_init__ never reads

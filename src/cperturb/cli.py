@@ -128,6 +128,8 @@ def build_predicate(args) -> PredicateInstance:
     if name == "univariate":
         degree = 1 if args.degree is None else args.degree
         if args.coeffs:
+            if args.degree is not None and args.degree != len(args.coeffs) - 1:
+                raise InadmissibleInput(f"--degree {args.degree} does not match {len(args.coeffs)} --coeffs")
             coeffs = [parse_exact(c) for c in args.coeffs]
         else:
             coeffs = [Fraction(0)] * degree + [Fraction(1)]
@@ -331,16 +333,17 @@ def cmd_simulate(args) -> int:
     _float_format(L, K)
     if args.trials < 0:
         raise InadmissibleInput("--trials must not be negative")
+    if args.jobs < 1:
+        raise InadmissibleInput("--jobs must be at least 1")
     inst = build_predicate(args)
     seed = args.seed if args.seed is not None else default_seed()
-    jobs = max(1, args.jobs)
-    base = args.trials // jobs
+    base = args.trials // args.jobs
     chunks = [
-        (vars(args), base + (1 if j < args.trials % jobs else 0), seed + 1_000_003 * j)
-        for j in range(jobs)
+        (vars(args), base + (1 if j < args.trials % args.jobs else 0), seed + 1_000_003 * j)
+        for j in range(args.jobs)
     ]
     chunks = [c for c in chunks if c[1] > 0]
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    workers = min(args.jobs, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
         successes = sum(_simulate_chunk(c) for c in chunks)
     else:

@@ -59,6 +59,7 @@ from .softfloat import (
     _round_scaled,
     fl_round,
     is_representable,
+    member_pair,
     to_pair,
 )
 
@@ -539,10 +540,10 @@ def _input_pair(v: Union[SoftFloat, Exact], L: int, K: int) -> tuple[int, int]:
     """An input as a pair (M, q) of value M * 2^q; it must lie in F_{L,K}."""
     if isinstance(v, SoftFloat):
         v = v.to_fraction()  # a member of another F_{L',K'}: taken by value
-    f = fl_round(Fraction(v), L, K, source_op="input")
-    if f.to_fraction() != v:
+    pair = member_pair(v, L, K)
+    if pair is None:
         raise InadmissibleInput(f"input {v} is not exactly representable in F_{{{L},{K}}}")
-    return to_pair(f)
+    return pair
 
 
 def _input_pairs(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> list[tuple[int, int]]:
@@ -640,9 +641,10 @@ def guarded_eval(
     The certified sign always equals the exact rational sign; exact zeros can
     never be certified.  Overflow, inexact underflow and division by zero all
     surface as RangeErrorVerdict, the signal on which the perturbation loop
-    grows K.  Inputs are SoftFloats or exact values, and must lie in F_{L,K};
-    with ``pairs`` they are already the (M, q) pairs of such members, as
-    _input_pairs gives them, and are taken unchecked.
+    grows K.  Inputs are SoftFloats or exact values, and must lie in F_{L,K}:
+    any other input, whether too large, too small or not dyadic, raises
+    InadmissibleInput.  With ``pairs`` they are already the (M, q) pairs of
+    such members, as _input_pairs gives them, and are taken unchecked.
     """
     guard = _guard_of(e)
     return guard._verdict(x, L, K, emax) if pairs else guard(x, L, K, emax)

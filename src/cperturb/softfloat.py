@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .reals import floor_log2
 
@@ -117,46 +117,20 @@ def fl_round(x: Exact, L: int, K: int, source_op: str = "fl_round") -> SoftFloat
 
     Raises RangeError when |x| rounds past the largest member, and when x is
     nonzero, below the smallest normal magnitude, and not exactly
-    representable (inexact underflow).
+    representable (inexact underflow).  _round_scaled rounds x as a pair: a
+    dyadic n/2^j as (n, -j), any other x as the sticky pair (2t + 1, -s - 1),
+    t = floor(|x|·2^s) of at least L + 3 bits.  The remainder is nonzero (the
+    denominator has an odd factor), so both lie in (2t, 2t + 2)·2^(-s-1),
+    which holds no member, midpoint or power of two: they round alike.
     """
-    x = Fraction(x)
-    if x == 0:
+    n, d = x.as_integer_ratio()
+    if not n:
         return zero(L, K)
-    sign = 1 if x > 0 else -1
-    ax = -x if x < 0 else x
-    emin, emax = exponent_min(K), exponent_max(K)
-
-    raw_e = floor_log2(ax)  # 2^raw_e <= ax < 2^(raw_e+1)
-    e = max(raw_e, emin)  # below emin we round on the subnormal grid at e_min
-    # round ax onto multiples of 2^(e-L)
-    num, den = ax.numerator, ax.denominator
-    shift = e - L
-    if shift >= 0:
-        q_num, q_den = num, den << shift
-    else:
-        q_num, q_den = num << (-shift), den
-    m, rem = divmod(q_num, q_den)
-    double_rem = 2 * rem
-    if double_rem > q_den or (double_rem == q_den and m % 2 == 1):
-        m += 1
-    if m == (1 << (L + 1)):  # rounded up into the next binade
-        m >>= 1
-        e += 1
-    inexact = m * q_den != q_num
-
-    if e > emax:
-        raise RangeError(source_op, f"|result| ~ 2^{e} exceeds F_{{{L},{K}}}")
-    if m == 0:
-        # nonzero x rounded to zero: necessarily inexact underflow
-        raise RangeError(source_op, "inexact result below the subnormal range")
-    if inexact and raw_e < emin:  # ax below the smallest normal magnitude
-        raise RangeError(source_op, "inexact result below the smallest normal")
-    return SoftFloat(sign, m, e, L, K)
-
-
-def to_rational(a: SoftFloat) -> Fraction:
-    """Exact rational value of a float; lossless, round-trips through fl_round."""
-    return a.to_fraction()
+    sign, a = (1, n) if n > 0 else (-1, -n)
+    if not d & (d - 1):
+        return _round_scaled(sign, a, 1 - d.bit_length(), L, K, source_op)
+    s = max(L + 3 + d.bit_length() - a.bit_length(), 0)
+    return _round_scaled(sign, ((a << s) // d) << 1 | 1, -s - 1, L, K, source_op)
 
 
 def to_pair(a: SoftFloat) -> tuple[int, int]:
@@ -166,19 +140,33 @@ def to_pair(a: SoftFloat) -> tuple[int, int]:
     return (a.sign * a.significand, a.exponent - a.prec) if a.significand else (0, 0)
 
 
+def member_pair(x: Exact, L: int, K: int) -> Optional[tuple[int, int]]:
+    """x as the pair (M, q) of value M * 2^q, M odd or zero, when x is a
+    member of F_{L,K}; else None.  x must be dyadic; with its trailing zeros
+    stripped, its top bit 2^top may not pass 2^e_max, and its lowest set bit
+    may not fall below the quantum 2^(max(top, e_min) - L) of its binade."""
+    n, d = x.as_integer_ratio()
+    if not n:
+        return 0, 0
+    if d & (d - 1):
+        return None
+    z = (n & -n).bit_length() - 1
+    M, q = n >> z, z + 1 - d.bit_length()
+    top = q + (M if M > 0 else -M).bit_length() - 1
+    if top > exponent_max(K) or q < max(top, exponent_min(K)) - L:
+        return None
+    return M, q
+
+
 def is_representable(x: Exact, L: int, K: int) -> bool:
     """True when x is exactly a member of F_{L,K}."""
-    x = Fraction(x)
-    if x == 0:
-        return True
-    try:
-        return fl_round(x, L, K).to_fraction() == x
-    except RangeError:
-        return False
+    return member_pair(x, L, K) is not None
 
 
 def _round_scaled(sign: int, M: int, q: int, L: int, K: int, op: str) -> SoftFloat:
-    """Round the exact value sign * M * 2^q (M >= 1) to F_{L,K}, ties to even."""
+    """Round the exact value sign * M * 2^q (M >= 1) to F_{L,K}, ties to even.
+    The one rounding rule of F_{L,K}: fl_round reduces to it, and the compiled
+    guard's blocks inline it."""
     emin, emax = exponent_min(K), exponent_max(K)
     raw_e = q + M.bit_length() - 1
     e = max(raw_e, emin)

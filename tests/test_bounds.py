@@ -10,6 +10,7 @@ from cperturb.bounds import (
     ArityTooLarge,
     GammaTooLarge,
     IndexSplitInvalid,
+    InadmissibleInput,
     NotAnalyzable,
     PredicateDescription,
     Sym,
@@ -86,11 +87,30 @@ class TestPredicateDescription:
 
     @pytest.mark.parametrize("change", [
         {"delta": (F(0),)}, {"delta": (F(-1, 2),)}, {"delta": (F(1), F(1))},
-        {"t": F(0)}, {"t": F(1)}, {"a_box": ((F(4), F(4)),)},
+        {"t": F(0)}, {"t": F(1)}, {"a_box": ((F(4), F(4)),)}, {"a_box": ((F(1), F(0)),)},
     ])
     def test_replace_still_validates(self, change):
         with pytest.raises(ValueError):
             replace(self.DESCS[0].with_gamma_hat((F(1, 4),)), **change)
+
+    @pytest.mark.parametrize("emax, box, delta, fits", [
+        (2, (F(-3), F(1)), F(1), True),  # |lo| + delta = 4 = 2^2
+        (2, (F(-3), F(1)), F(3, 2), False),
+        (-1, (F(0), F(0)), F(1, 2), True),  # a negative emax: 1/2 = 2^-1
+        (-1, (F(1, 8), F(1, 4)), F(1, 4), True),
+        (-1, (F(1, 8), F(1, 4)), F(1, 3), False),
+        (-2, (F(-1, 8), F(-1, 8)), F(1, 8), True),
+        (-2, (F(-1, 8), F(-1, 8)), F(3, 16), False),
+    ])
+    def test_u_delta_must_fit_the_domain(self, emax, box, delta, fits):
+        def make():
+            return PredicateDescription(expr=Input(0), k=1, delta=(delta,), emax=emax, a_box=(box,))
+
+        if fits:
+            make()
+        else:
+            with pytest.raises(InadmissibleInput, match="U_delta"):
+                make()
 
     @pytest.mark.parametrize("a_box", [((F(0), F(0)),), ((F(0), F(0)),) * 3])
     def test_a_box_length_must_match_delta(self, a_box):

@@ -172,11 +172,17 @@ class TestInadmissibleParameters:
          "--terms entry '1' is not coeff:e1,e2,... with exponents >= 0"),
         (["analyze", "--predicate", "multivariate", "--terms", "1:-1,1", "--p", "1/2"],
          "--terms entry '1:-1,1' is not coeff:e1,e2,... with exponents >= 0"),
+        ([*SIM, "--predicate", "in_circle", "--center", "1/33554432", "0"],
+         "input 1/33554432 is not exactly representable in F_{8,5}"),
+        (["analyze", "--degree", "2", "--coeffs", "1", "2", "--p", "1/2"],
+         "--degree 2 does not match 2 --coeffs"),
+        ([*SIM, "--jobs", "0"], "--jobs must be at least 1"),
     ], ids=["simulate_L0", "simulate_K1", "coeffs_constant", "coeffs_leading_zero",
             "degree_negative", "simulate_coeffs_constant", "radius_zero", "box_degenerate",
             "hull_n_negative", "hull_n_zero", "degree_zero", "trials_negative", "enumerate_L0",
             "enumerate_K1", "simulate_emax_beyond_K", "simulate_fixed_slot_off_the_floats",
-            "terms_no_colon", "terms_negative_exponent"])
+            "terms_no_colon", "terms_negative_exponent", "simulate_fixed_slot_below_the_floats",
+            "degree_coeffs_mismatch", "jobs_zero"])
     def test_checked_values_exit_two(self, argv, message, capsys):
         # each ended in a ValueError traceback, ran on a substituted value or
         # went unchecked

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from cperturb.errorbounds import (
 from cperturb.exact import ExactPole, rat_eval, rat_sign
 from cperturb.expr import Abs, Add, Const, Div, Input, Max, Min, Mul, Sub, parse
 from cperturb.geom import orientation2d_expr
-from cperturb.grid import GridSpec, PerturbationBox, SplitMix64, sample_grid_values
+from cperturb.grid import GridSpec, InadmissibleInput, PerturbationBox, SplitMix64, sample_grid_values
 from cperturb.softfloat import fl_round
 
 
@@ -115,6 +116,16 @@ class TestDynamicBound:
 class TestGuardedEval:
     def test_identity_certified(self):
         assert guarded_eval(Input(0), [1], 16, 8, 1) == SignCertified(1)
+
+    def test_inputs_outside_the_floats_are_inadmissible(self):
+        # 2^300 overflows F_{24,8} and 2^-300 lies below its subnormals: both
+        # once escaped the input check as RangeError, unlike 1/3
+        e = parse("(sub x0 x1)")
+        wide = fl_round(F(2) ** -300, 52, 11)  # a member of another format, taken by value
+        for v in (F(2) ** 300, -F(2) ** 300, F(2) ** -300, F(1, 3), wide):
+            with pytest.raises(InadmissibleInput, match=re.escape("is not exactly representable in F_{24,8}")):
+                guarded_eval(e, [v, 1], 24, 8, 3)
+        assert guarded_eval(e, [fl_round(F(3, 4), 52, 11), 1], 24, 8, 3) == SignCertified(-1)
 
     def test_collinear_never_certified(self):
         e = orientation2d_expr()
