@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import ceil, lcm
 from typing import Callable, Optional, Sequence, Union
 
@@ -31,7 +32,18 @@ GuardedAlgorithm = Callable[[tuple[SoftFloat, ...], int, int], Outcome]
 
 
 class IterationCapExceeded(RuntimeError):
-    """The perturbation loop hit its round cap without a success."""
+    """The perturbation loop hit its round cap or its bit budget without a
+    success; ``stats`` holds the rounds it ran."""
+
+    def __init__(self, message: str, stats: Optional["CpRunStats"] = None):
+        super().__init__(message)
+        self.stats = stats
+
+
+# The bit budget: no round runs at a larger L.  Far above what the analysis
+# asks for (L_f <= 118 on every pinned query), yet an input no perturbation
+# can solve, such as two points, reaches it in a few rounds, not out of memory.
+MAX_L = 1 << 16
 
 
 # --- perturbation shapes -------------------------------------------------------
@@ -161,52 +173,44 @@ def _area_constants(centers: Sequence[tuple[int, int]], shape: PerturbationShape
                     delta: Fraction) -> tuple:
     """What every draw about the (numerator, denominator) centres needs at
     any grid, computed once per run and delta: each coordinate's range ends
-    c -+ delta as integers over one denominator, and per disc or ball the
-    lcm S0 of its denominators, the S0-scaled centres and (S0 * delta)^2."""
+    c -+ delta as integers over one denominator, and for discs and balls
+    (cpo, S0s, scaled, radii2): per object the lcm S0 of its denominators
+    and (S0 * delta)^2, per coordinate its centre times its object's S0."""
     dn, dd = delta.numerator, delta.denominator
     ends = [(cn * dd - dn * cd, cd * dd, cn * dd + dn * cd, cd * dd) for cn, cd in centers]
+    if shape.kind == "box":
+        return ends, None
     cpo = shape.coords_per_object
-    groups = []  # per disc or ball: first coordinate, S0, S0 * centre, (S0 * delta)^2
-    for base in range(0, 0 if shape.kind == "box" else len(centers), cpo):
-        group = centers[base : base + cpo]
-        S0 = lcm(dd, *(cd for _, cd in group))
-        groups.append((base, S0, [cn * (S0 // cd) for cn, cd in group], (dn * (S0 // dd)) ** 2))
-    return ends, groups, cpo
+    dens = [cd for _, cd in centers]
+    S0s = list(map(lcm, repeat(dd), *(dens[j::cpo] for j in range(cpo))))
+    S0_of = [S0 for S0 in S0s for _ in range(cpo)]  # per coordinate, its object's S0
+    scaled = [cn * (S0 // cd) for (cn, cd), S0 in zip(centers, S0_of)]
+    return ends, (cpo, S0s, scaled, [(dn * (S0 // dd)) ** 2 for S0 in S0s])
 
 
 def _input_drawer(area: tuple, spec: GridSpec,
                   rng: SplitMix64) -> Callable[[], Optional[tuple[SoftFloat, ...]]]:
     """Draws of one uniform grid point of the perturbation area (as
     _area_constants gives it): a box draws the whole input in one call, a
-    disc or ball redraws each object until it passes the in-shape test (on
-    integers, every length times S = S0 * 2^max(t, 0) with tau = 2^-t).
+    disc or ball is one ball of GridSampler.draw_balls, its in-shape test on
+    integers, every length times S = S0 * 2^max(t, 0) with tau = 2^-t.
     None on an empty index range or after 4096 failed tries of one object."""
-    ends, groups, cpo = area
+    ends, balls = area
     sampler = GridSampler(spec, spec._indices(ends), rng)
-    t = spec.L + 1 - spec.emax
-    up, down = max(t, 0), max(-t, 0)
+    if balls:
+        t = spec.L + 1 - spec.emax
+        up, down = max(t, 0), max(-t, 0)
+        cpo, S0s, scaled, radii2 = balls
+        centres = zip(*[iter([sc << up for sc in scaled])] * cpo)
+        # per object: S * tau, S * centre, (S * delta)^2
+        balls = list(zip([S0 << down for S0 in S0s], centres, [r2 << 2 * up for r2 in radii2]))
 
     def draw():
         try:
-            if not groups:
-                return sampler.draw_floats()
-            lams = []
-            for base, S0, scaled, radius2 in groups:
-                unit, bound = S0 << down, radius2 << 2 * up  # S * tau, (S * delta)^2
-                for _ in range(4096):
-                    group = sampler.draw(base, base + cpo)
-                    d2 = 0
-                    for lam, sc in zip(group, scaled):
-                        v = lam * unit - (sc << up)  # S * (point - centre)
-                        d2 += v * v
-                    if d2 <= bound:
-                        lams += group
-                        break
-                else:
-                    return None
-            return sampler.floats(lams)
+            lams = sampler.draw_balls(balls) if balls else sampler.draw()
         except EmptyGrid:
             return None
+        return None if lams is None else sampler.floats(lams)
 
     return draw
 
@@ -301,18 +305,20 @@ def run_acp_delta_variant(
 def _acp_loop(
     guarded, ybar, shape, seed, L0, K0, max_rounds, eta_runs, grow, delta_schedule=None
 ):
-    ybar = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in ybar]
-    if len(ybar) % shape.coords_per_object:
+    # each centre read once per run, as its (numerator, denominator) pair
+    centers = [(c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio() for c in ybar]
+    if len(centers) % shape.coords_per_object:
         raise ValueError("input length does not match the shape's grouping")
     deltas = delta_schedule or (shape.delta,) * eta_runs
     delta_max = delta_schedule[-1] if delta_schedule else shape.delta
-    emax = compute_emax(ybar, [delta_max] * len(ybar))
-    centers = [(c.numerator, c.denominator) for c in ybar]  # read once per run
+    emax = compute_emax(centers, [delta_max.as_integer_ratio()] * len(centers))
     areas = {d: _area_constants(centers, shape, d) for d in set(deltas)}  # once per delta
     rng = SplitMix64(seed)
     stats = CpRunStats(seed=seed)
     L, K = L0, K0
     for _ in range(max_rounds):
+        if L > MAX_L:
+            break
         stats.rounds += 1
         # K must leave room for the grid: emax + 1 < 2^(K-1)
         while emax + 1 >= (1 << (K - 1)):
@@ -342,4 +348,5 @@ def _acp_loop(
         stats.outcomes.append(round_kind)
         L, K = grow(L, K, round_kind)
     stats.final_L, stats.final_K = L, K
-    raise IterationCapExceeded(f"no success within {max_rounds} rounds (seed {seed})")
+    cap = f"L = {L} is past the bit budget {MAX_L}" if L > MAX_L else f"no success within {max_rounds} rounds"
+    raise IterationCapExceeded(f"{cap} (seed {seed})", stats)

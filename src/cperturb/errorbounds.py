@@ -39,6 +39,20 @@ and no range error possible (_Block._range_safe), |fl(E) - E| <= B, the
 static bound, so |E| > 2B means the rounded block would certify sign E.
 The rounded block and the exact stage load each input index once, at its
 first read (where the stage also checks it); later reads reuse that pair.
+
+Integer mode (guarded_eval with q) takes the inputs as integers m_i of value
+m_i * 2^q, as the hull holds its points.  A homogeneous block (no constant,
+each Add, Sub, Min and Max joining operands of one degree) then has
+E = N * 2^(deg * q), where N is the block on the m_i, exact; its third
+function, written on first use, computes N with no alignment and no
+per-input exponent.  Given the range-safe record at (emax, L, K), q at or
+above its Q_safe and every |m_i| below H = 2^(emax - q), the exact stage's
+premises hold, so |N| > T, T = floor(2B / 2^(deg * q)) cached per
+(emax, L, K, q), is |E| > 2B, and the function certifies sign N = sign E.
+Every other case runs the verdict on the pairs (m_i, q): another block, q
+below Q_safe, an input at 2^emax, or |N| <= T.  A guard that is one block
+calls that function directly, so a clear test costs the block's integer
+arithmetic, one cache lookup and one compare.
 """
 
 from __future__ import annotations
@@ -246,6 +260,32 @@ _EXACT = {
     if M{i} and (q{i} + M{i}.bit_length() > H or q{i} < Q and q{i} + (M{i} & -M{i}).bit_length() <= Q):
         return None
 """,
+}
+
+# Integer mode: a homogeneous block on inputs m_i * 2^q computes N, with
+# E = N * 2^(deg * q), and certifies sign N when |N| > T; it falls back to the
+# pairs verdict without limits (T, H), for an input not below 2^emax = H * 2^q
+# and for |N| <= T.
+_INT_HEAD = """\
+def verdict(xs, L, K, emax, q):
+    limits = get((emax, L, K, q), False)
+    if limits is False:
+        limits = int_limits(emax, L, K, q)
+    if not limits:
+        return fall(xs, L, K, emax, q)
+    T, H = limits
+"""
+_INT_TAIL = """\
+    if M{i} > T or M{i} < -T:
+        return POSITIVE if M{i} > 0 else NEGATIVE
+    return fall(xs, L, K, emax, q)
+"""
+_INTS = {
+    Input: "    M{i} = xs[{k}]\n    if abs(M{i}) >= H:\n        return fall(xs, L, K, emax, q)\n",
+    **{kind: f"    M{{i}} = M{{a}} {op} M{{b}}\n" for kind, op in zip(_OP_INDEX, _OP_NAMES)},
+    Abs: "    M{i} = abs(M{a})\n",
+    Min: "    M{i} = M{a} if M{a} <= M{b} else M{b}\n",
+    Max: "    M{i} = M{a} if M{a} >= M{b} else M{b}\n",
 }
 
 _CONST_ENTRY = """\
@@ -475,6 +515,49 @@ class _Block:
         table = self._tables[(L, K)] = (*entries, self._fold(0, L)[0])  # ind: any emax
         return table
 
+    def int_verdict(self, xs: Sequence[int], L: int, K: int, emax: int, q: int) -> "GuardVerdict":
+        """The verdict on inputs m_i * 2^q given as the integers m_i.  The
+        first call writes the block's integer mode, which then stands in for
+        this method, or the pairs verdict for a block that is not homogeneous
+        (a constant, or an Add, Sub, Min or Max joining two degrees)."""
+
+        def fall(xs, L, K, emax, q):
+            return self.verdict([(m, q) for m in xs], L, K, emax)
+
+        degree, lines = [], [_INT_HEAD]
+        for i, (kind, kids, k) in enumerate(self._plan):
+            d = {degree[j] for j in kids}
+            if kind is Const or kind is not Mul and len(d) > 1:
+                self.int_verdict = fall
+                return fall(xs, L, K, emax, q)
+            degree.append(sum(degree[j] for j in kids) if kind is Mul else max(d, default=1))
+            a, b = (kids + (0, 0))[:2]
+            lines.append(_INTS[kind].format(i=i, k=k, a=a, b=b))
+        self._degree = degree[-1]
+        namespace = {"get": self._safe.get, "int_limits": self._int_limits, "fall": fall,
+                     "POSITIVE": _POSITIVE, "NEGATIVE": _NEGATIVE}
+        exec(compile("".join(lines) + _INT_TAIL.format(i=i), "<integer-mode guard block>", "exec"), namespace)
+        self.int_verdict = namespace["verdict"]
+        return self.int_verdict(xs, L, K, emax, q)
+
+    def _int_limits(self, emax: int, L: int, K: int, q: int) -> Optional[tuple[int, int]]:
+        """(T, H) for integer mode on inputs m_i * 2^q at (emax, L, K): with
+        E = N * 2^(deg * q), |N| > T is |E| > 2B, and |m_i| < H is
+        |x_i| < 2^emax.  None unless the range-safe record admits q.  Cached
+        in _safe beside the records, which _safe.clear() keeps in place."""
+        limits = None
+        if q <= emax:
+            safe = self._safe.get((emax, L, K), False)
+            if safe is False:
+                safe = self._range_safe(emax, L, K)
+            if safe and safe[0] <= q:
+                s = self._degree * q
+                limits = (safe[1] << max(-s, 0)) // (safe[2] << max(s, 0)), 1 << (emax - q)
+        if len(self._safe) >= _CACHE_LIMIT:
+            self._safe.clear()
+        self._safe[(emax, L, K, q)] = limits
+        return limits
+
     def _static_bound(self, emax: int, L: int) -> tuple[int, int]:
         """static_bound of the block as (numerator, denominator)."""
         return (self._folds.get((emax, L)) or self._fold(emax, L))[1]
@@ -500,7 +583,9 @@ class _Block:
         self._safe[(emax, L, K)] = record
         return record
 
-    def verdict(self, xs: list, L: int, K: int, emax: int) -> "GuardVerdict":
+    def verdict(self, xs: list, L: int, K: int, emax: int, q: Optional[int] = None) -> "GuardVerdict":
+        if q is not None:
+            return self.int_verdict(xs, L, K, emax, q)
         # the exact stage: |E| > 2B settles the sign as the rounded block would
         safe = self._safe.get((emax, L, K), False) if self._exact else None
         if safe is False:
@@ -551,7 +636,8 @@ def _input_pairs(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> list[t
     if L < 1 or K < 2:
         raise InadmissibleInput("need L >= 1 and K >= 2")
     return [
-        to_pair(v) if v.__class__ is SoftFloat and v.prec == L and v.expbits == K else _input_pair(v, L, K)
+        ((v.sign * v.significand, v.exponent - L) if v.significand else (0, 0))
+        if v.__class__ is SoftFloat and v.prec == L and v.expbits == K else _input_pair(v, L, K)
         for v in x
     ]
 
@@ -580,11 +666,11 @@ class CompiledGuard:
             else:
                 combine = min if isinstance(n, Min) else max
 
-            def composite(xs, L, K, emax):
-                a = left(xs, L, K, emax)
+            def composite(xs, L, K, emax, q=None):
+                a = left(xs, L, K, emax, q)
                 if isinstance(a, RangeErrorVerdict):
                     return a
-                b = right(xs, L, K, emax)
+                b = right(xs, L, K, emax, q)
                 if isinstance(b, RangeErrorVerdict):
                     return b
                 if isinstance(a, SignCertified) and isinstance(b, SignCertified):
@@ -595,8 +681,8 @@ class CompiledGuard:
         if isinstance(n, Abs):
             inner = self._compile(n.operand)
 
-            def absolute(xs, L, K, emax):
-                v = inner(xs, L, K, emax)
+            def absolute(xs, L, K, emax, q=None):
+                v = inner(xs, L, K, emax, q)
                 return _POSITIVE if isinstance(v, SignCertified) else v
 
             return absolute
@@ -608,6 +694,16 @@ class CompiledGuard:
 
     def __call__(self, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> GuardVerdict:
         return self._verdict(_input_pairs(x, L, K), L, K, emax)
+
+    def int_verdict(self, xs: Sequence[int], L: int, K: int, emax: int, q: int) -> GuardVerdict:
+        """guarded_eval's integer mode.  After its first call, a guard that is
+        one block calls the block's integer mode directly; any other hands q
+        down its verdict tree."""
+        block = self.blocks[0]
+        entry = self._verdict if block.node is not self.expr else None
+        verdict = (entry or block.int_verdict)(xs, L, K, emax, q)  # writes the block's function
+        self.int_verdict = entry or block.int_verdict
+        return verdict
 
     def evaluate(self, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> tuple[Fraction, Fraction]:
         """(fl(e), ind * dynsup * 2^-L) with the whole expression evaluated as
@@ -634,7 +730,7 @@ def _guard_of(e: Expr) -> CompiledGuard:
 
 
 def guarded_eval(
-    e: Expr, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int, *, pairs: bool = False
+    e: Expr, x: Sequence[Union[SoftFloat, Exact, int]], L: int, K: int, emax: int, q: Optional[int] = None
 ) -> GuardVerdict:
     """Evaluate with F_{L,K} arithmetic; certify the sign or fail safely.
 
@@ -643,11 +739,12 @@ def guarded_eval(
     surface as RangeErrorVerdict, the signal on which the perturbation loop
     grows K.  Inputs are SoftFloats or exact values, and must lie in F_{L,K}:
     any other input, whether too large, too small or not dyadic, raises
-    InadmissibleInput.  With ``pairs`` they are already the (M, q) pairs of
-    such members, as _input_pairs gives them, and are taken unchecked.
+    InadmissibleInput.  With ``q``, x holds integers m_i instead, of the
+    inputs m_i * 2^q, which must be such members and are taken unchecked:
+    integer mode, whose sign test is one compare on a homogeneous block.
     """
-    guard = _guard_of(e)
-    return guard._verdict(x, L, K, emax) if pairs else guard(x, L, K, emax)
+    guard = getattr(e, "_guard", None) or _guard_of(e)
+    return guard(x, L, K, emax) if q is None else guard.int_verdict(x, L, K, emax, q)
 
 
 def dynamic_bound(e: Expr, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> Fraction:

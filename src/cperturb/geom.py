@@ -277,25 +277,6 @@ class EvalCounter:
 _ORIENTATION2D = orientation2d_expr()
 
 
-def _xy_order(pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """Indices of the distinct points in xy-order; of coincident points the
-    first index is kept.
-
-    ``pairs`` holds every point's x and y as pairs (M, q) of value M * 2^q,
-    in turn.  The keys are integers built once per call: each M shifted to
-    the smallest q among the nonzero coordinates.  They have exactly the
-    order and the ties of the values, for any pairs.
-    """
-    q0 = min((q for M, q in pairs if M), default=0)
-    scaled = [M << (q - q0) if M else 0 for M, q in pairs]
-    keys = list(zip(scaled[0::2], scaled[1::2]))
-    order: list[int] = []
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        if not order or keys[i] != keys[order[-1]]:
-            order.append(i)
-    return order
-
-
 def guarded_convex_hull(
     points: Sequence[tuple[Union[SoftFloat, Exact], Union[SoftFloat, Exact]]],
     L: int,
@@ -307,31 +288,36 @@ def guarded_convex_hull(
 
     Returns ('success', indices) with the CCW hull (first vertex = smallest
     point in xy-order), or the failure kind of the first unguarded test.
-    Every coordinate must lie in F_{L,K}; it is turned into its pair once,
-    and the sort and every orientation test share that pair.  Exactly
-    coincident input points are merged by exact comparison on the integer
-    keys of _xy_order, which involves no rounding and needs no guard.
+    Every coordinate must lie in F_{L,K}.  Each becomes once an integer on
+    the exponent q0 of the lowest set bit of any coordinate (on a grid,
+    mostly the grid index), with exactly the order and ties of the values:
+    the sort keys, so coincident points merge exactly (the first index
+    kept), and the inputs of every orientation test, in integer mode.
     """
     if len(points) < 3:
         return ("guard_failure", None)
     flat = _input_pairs([c for pt in points for c in pt], L, K)
-    dedup = _xy_order(flat)
+    q0 = min((q + (M & -M).bit_length() - 1 for M, q in flat if M), default=0)
+    scaled = [(M << (q - q0) if q >= q0 else M >> (q0 - q)) if M else 0 for M, q in flat]
+    pts = list(zip(scaled[0::2], scaled[1::2]))
+    dedup: list[int] = []
+    for i in sorted(range(len(pts)), key=pts.__getitem__):
+        if not dedup or pts[i] != pts[dedup[-1]]:
+            dedup.append(i)
     if len(dedup) < 3:
         return ("guard_failure", None)
-    pts = list(zip(flat[0::2], flat[1::2]))
+    tests = 0
 
     def build(seq):
+        nonlocal tests
         chain: list[int] = []
         for i in seq:
+            p = pts[i]
             while len(chain) >= 2:
-                if counter is not None:
-                    counter.evaluations += 1
-                verdict = guarded_eval(
-                    _ORIENTATION2D, pts[chain[-2]] + pts[chain[-1]] + pts[i], L, K, emax, pairs=True
-                )
+                tests += 1
+                verdict = guarded_eval(_ORIENTATION2D, pts[chain[-2]] + pts[chain[-1]] + p, L, K, emax, q0)
                 if verdict.__class__ is not SignCertified:
-                    kind = "range_error" if verdict.__class__ is RangeErrorVerdict else "guard_failure"
-                    return (kind, None)
+                    return ("range_error" if verdict.__class__ is RangeErrorVerdict else "guard_failure", None)
                 if verdict.sign > 0:  # strict left turn: keep
                     break
                 chain.pop()
@@ -339,13 +325,12 @@ def guarded_convex_hull(
         return ("success", chain)
 
     lower = build(dedup)
-    if lower[0] != "success":
-        return lower
-    upper = build(reversed(dedup))
+    upper = build(reversed(dedup)) if lower[0] == "success" else lower
+    if counter is not None:
+        counter.evaluations += tests
     if upper[0] != "success":
         return upper
-    hull = lower[1][:-1] + upper[1][:-1]
-    return ("success", hull)
+    return ("success", lower[1][:-1] + upper[1][:-1])
 
 
 def exact_convex_hull(points: Sequence[tuple[Exact, Exact]]) -> list[int]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .softfloat import SoftFloat, _member, _round_scaled, exponent_min, is_representable, zero
+from .softfloat import SoftFloat, _round_scaled, exponent_min, is_representable, zero
 
 Exact = Fraction
 
@@ -72,21 +72,26 @@ class SplitMix64:
                     return v
 
 
+def _ratio(x) -> tuple[int, int]:
+    """x as (numerator, denominator), through Fraction unless an int or Fraction."""
+    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+
+
 def compute_emax(centers: Sequence[Exact], deltas: Sequence[Exact]) -> int:
     """Least integer e' >= 0 with |y_i| + delta_i <= 2^e' for all i.
 
-    Works on numerators and denominators only.  With |y_i| + delta_i = a/b,
-    ceil(log2(a/b)) is n = a.bit_length() - b.bit_length() or n + 1, and
-    one shift-compare decides which; int and Fraction inputs agree.
+    Each value is a number or its as_integer_ratio() pair, as run_acp reads
+    its centres.  Works on numerators and denominators only.  With
+    |y_i| + delta_i = a/b, ceil(log2(a/b)) is n = a.bit_length() -
+    b.bit_length() or n + 1, and one shift-compare decides which.
     """
     if not centers:
         raise ValueError("need at least one coordinate")
     emax = 0
     for c, d in zip(centers, deltas):
-        if not isinstance(c, (int, Fraction)) or not isinstance(d, (int, Fraction)):
-            c, d = Fraction(c), Fraction(d)
-        cd, dd = c.denominator, d.denominator
-        a, b = abs(c.numerator) * dd + d.numerator * cd, cd * dd
+        cn, cd = c if c.__class__ is tuple else _ratio(c)
+        dn, dd = d if d.__class__ is tuple else _ratio(d)
+        a, b = (cn if cn >= 0 else -cn) * dd + dn * cd, cd * dd
         if a <= b << emax:  # already covered; also skips a <= 0
             continue
         n = a.bit_length() - b.bit_length()
@@ -122,12 +127,6 @@ class GridSpec:
         a, b = Fraction(a), Fraction(b)
         return self._indices([(a.numerator, a.denominator, b.numerator, b.denominator)])[0]
 
-    def index_range_about(self, cn: int, cd: int, rn: int, rd: int) -> tuple[int, int]:
-        """index_range(c - r, c + r) for c = cn/cd and r = rn/rd with positive
-        cd, rd, taking and computing integers only."""
-        den = cd * rd
-        return self._indices([(cn * rd - rn * cd, den, cn * rd + rn * cd, den)])[0]
-
     def _indices(self, ends: Iterable[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
         """index_range(an/ad, bn/bd) for each (an, ad, bn, bd), ad and bd positive."""
         t = self.L + 1 - self.emax  # 1/tau = 2^t, and 2^emax/tau = 2^(L+1)
@@ -148,8 +147,10 @@ def grid_floats(lams: Iterable[int], spec: GridSpec) -> tuple[SoftFloat, ...]:
     With n = |lam|.bit_length() <= L + 1, lam * tau has exponent
     e = emax - L - 2 + n and significand |lam| << (L + 1 - n), exactly; for
     e >= e_min these fields are valid by construction (e <= emax - 1 < e_max
-    by GridSpec's invariant) and the member is built unchecked.  Zero, points
-    below 2^e_min and |lam| >= 2^(L+1) go through the general rounding.
+    by GridSpec's invariant), and the member is built unchecked, its fields
+    set by one assignment of its __dict__: it equals the checked
+    construction in ==, hash and repr.  Zero, points below 2^e_min and
+    |lam| >= 2^(L+1) go through the general rounding.
     """
     L, K = spec.L, spec.K
     if L < 1 or K < 2:
@@ -158,20 +159,19 @@ def grid_floats(lams: Iterable[int], spec: GridSpec) -> tuple[SoftFloat, ...]:
     q = spec.emax - L1  # lam * tau = lam * 2^q
     low = max(exponent_min(K) - q + 1, 1)  # least n with e >= e_min
     out = []
+    new, set_fields = object.__new__, object.__setattr__
     for lam in lams:
         n = lam.bit_length()
         if low <= n <= L1:
-            out.append(_member(1 if lam > 0 else -1, abs(lam) << (L1 - n), q - 1 + n, L, K))
+            f = new(SoftFloat)
+            set_fields(f, "__dict__", {"sign": 1 if lam > 0 else -1, "significand": abs(lam) << (L1 - n),
+                                       "exponent": q - 1 + n, "prec": L, "expbits": K})
+            out.append(f)
         elif lam:
             out.append(_round_scaled(1 if lam > 0 else -1, abs(lam), q, L, K, "grid"))
         else:
             out.append(zero(L, K))
     return tuple(out)
-
-
-def grid_float(lam: int, spec: GridSpec) -> SoftFloat:
-    """The grid point lam * tau as a member of F_{L,K} (see grid_floats)."""
-    return grid_floats((lam,), spec)[0]
 
 
 def enumerate_grid(a: Exact, b: Exact, spec: GridSpec) -> list[Fraction]:
@@ -225,7 +225,8 @@ class GridSampler:
     """The one draw loop: uniform grid points of one grid from a SplitMix64
     stream, each coordinate's index range computed once.
 
-    A draw takes one index per coordinate, in coordinate order.  A range with
+    A draw takes one index per coordinate, in coordinate order; draw_balls
+    redraws each ball's coordinates until they fall inside it.  A range with
     no grid point raises EmptyGrid when its coordinate is reached, after the
     earlier coordinates have drawn, so every path consumes a seeded stream
     alike.  values() and floats() turn indices into exact rationals or into
@@ -242,15 +243,42 @@ class GridSampler:
     def from_box(cls, box: PerturbationBox, spec: GridSpec, rng: SplitMix64) -> "GridSampler":
         return cls(spec, (spec.index_range(*box.interval(i)) for i in range(box.dimension)), rng)
 
-    def draw(self, start: int = 0, stop: Optional[int] = None) -> list[int]:
-        """One uniform grid index for each coordinate in start..stop-1."""
+    def draw(self) -> list[int]:
+        """One uniform grid index for each coordinate."""
         uniform = self.rng.uniform_int
         lams = []
-        for lo, span in self.ranges[start:stop]:
+        for lo, span in self.ranges:
             if span <= 0:
-                tau = self.spec.tau
-                raise EmptyGrid(f"coordinate {start + len(lams)}: no multiple of tau = {tau}")
+                raise EmptyGrid(f"coordinate {len(lams)}: no multiple of tau = {self.spec.tau}")
             lams.append(lo + uniform(span))
+        return lams
+
+    def draw_balls(self, balls: Iterable[tuple[int, Sequence[int], int]]) -> Optional[list[int]]:
+        """One uniform grid index for each coordinate, drawn ball by ball in
+        coordinate order.  A ball (unit, centre, bound) covers the next
+        len(centre) coordinates and holds the indices lam with
+        sum_j (lam_j * unit - centre_j)^2 <= bound; its coordinates are
+        redrawn together until they fall inside it.  None once a ball has
+        failed 4096 tries."""
+        uniform, ranges = self.rng.uniform_int, self.ranges
+        lams: list[int] = []
+        for unit, centre, bound in balls:
+            base = len(lams)
+            for _ in range(4096):
+                d2 = 0
+                for j, c in enumerate(centre, base):
+                    lo, span = ranges[j]
+                    if span <= 0:
+                        raise EmptyGrid(f"coordinate {j}: no multiple of tau = {self.spec.tau}")
+                    lam = lo + uniform(span)
+                    lams.append(lam)
+                    v = lam * unit - c
+                    d2 += v * v
+                if d2 <= bound:
+                    break
+                del lams[base:]
+            else:
+                return None
         return lams
 
     def values(self, lams: Iterable[int]) -> list[Fraction]:

@@ -103,15 +103,6 @@ def zero(L: int, K: int) -> SoftFloat:
     return SoftFloat(1, 0, exponent_min(K), L, K)
 
 
-def _member(sign: int, m: int, e: int, L: int, K: int) -> SoftFloat:
-    """SoftFloat(sign, m, e, L, K) without __post_init__'s checks, for fields
-    valid by construction: L >= 1, K >= 2, sign +-1, 2^L <= m < 2^(L+1) and
-    e_min <= e <= e_max.  Equal to the checked construction in ==, hash, repr."""
-    f = object.__new__(SoftFloat)
-    f.__dict__.update(sign=sign, significand=m, exponent=e, prec=L, expbits=K)
-    return f
-
-
 def fl_round(x: Exact, L: int, K: int, source_op: str = "fl_round") -> SoftFloat:
     """Nearest member of F_{L,K} to the rational x, ties to even significand.
 

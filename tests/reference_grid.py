@@ -4,6 +4,10 @@
 `_mix64`, as the stream once exposed it; `SplitMix64.uniform_int` computes
 the same words in its own body.
 
+`grid_float` and `index_range_about` are the one-point and centre/radius
+forms of `grid.grid_floats` and `GridSpec.index_range`, which the tests use
+to build single points and ranges.
+
 `sample_grid_values` computes each coordinate's index range as it reaches it
 and draws through SplitMix64.uniform_int, exactly as first written.
 `sample_shape_input` is the perturbation loop's draw of a whole input, with
@@ -18,7 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from cperturb.grid import EmptyGrid, GridSpec, PerturbationBox, SplitMix64
+from cperturb.grid import EmptyGrid, GridSpec, PerturbationBox, SplitMix64, grid_floats
+from cperturb.softfloat import SoftFloat
 
 _GAMMA = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
@@ -35,6 +40,18 @@ def next_u64(rng: SplitMix64) -> int:
     """The stream's next 64-bit word: mix(seed + counter * GAMMA)."""
     rng.counter += 1
     return _mix64(rng.seed + rng.counter * _GAMMA)
+
+
+def grid_float(lam: int, spec: GridSpec) -> SoftFloat:
+    """The grid point lam * tau as a member of F_{L,K} (see grid_floats)."""
+    return grid_floats((lam,), spec)[0]
+
+
+def index_range_about(spec: GridSpec, cn: int, cd: int, rn: int, rd: int) -> tuple[int, int]:
+    """spec.index_range(c - r, c + r) for c = cn/cd and r = rn/rd with
+    positive cd, rd, taking and computing integers only."""
+    den = cd * rd
+    return spec._indices([(cn * rd - rn * cd, den, cn * rd + rn * cd, den)])[0]
 
 
 def sample_grid_values(box: PerturbationBox, spec: GridSpec, rng: SplitMix64) -> list[Fraction]:

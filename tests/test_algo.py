@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from cperturb.algo import (
+    MAX_L,
     AlgorithmDescription,
     IterationCapExceeded,
     PerturbationShape,
@@ -252,6 +254,27 @@ def hull_guarded(emax):
 
 
 class TestHullEndToEnd:
+    @pytest.mark.parametrize("loop", [run_acp, run_basic_acp])
+    def test_two_points_stop_at_the_bit_budget(self, loop):
+        # no perturbation gives a hull of two points: every round fails and
+        # doubles L, until the next round would pass the budget
+        flat = [F(0), F(0), F(1), F(1)]
+        emax = compute_emax(flat, [F(1, 2)] * len(flat))
+        start = time.perf_counter()
+        with pytest.raises(IterationCapExceeded, match="bit budget") as info:
+            loop(hull_guarded(emax), flat, PerturbationShape("box", F(1, 2)), seed=4)
+        assert time.perf_counter() - start < 10
+        stats = info.value.stats
+        assert stats.L_sequence == [24 << i for i in range(12)]  # 24 * 2^11 <= MAX_L < 24 * 2^12
+        assert stats.rounds == 12 and stats.outcomes == ["guard_failure"] * 12
+        assert stats.final_L == 24 << 12 > MAX_L
+        assert max(stats.L_sequence) <= MAX_L
+
+    def test_round_cap_attaches_the_stats(self):
+        with pytest.raises(IterationCapExceeded, match="within 3 rounds") as info:
+            run_acp(scripted(["guard_failure"]), [F(0)], PerturbationShape("box", 1), seed=1, max_rounds=3)
+        assert info.value.stats.rounds == 3 and info.value.stats.L_sequence == [24, 48, 96]
+
     def test_degenerate_inputs_terminate_and_match_oracle(self):
         flat = []
         for i in range(8):

@@ -7,14 +7,16 @@ from fractions import Fraction as F
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_grid import grid_float
 from reference_guard import coerce_inputs, eval_arithmetic, reference_guarded_eval
+from test_guard_exact_stage import members
 
 from cperturb.errorbounds import _input_pairs, annotate, compile_guard, guarded_eval, static_bound
 from cperturb.exact import rat_eval
 from cperturb.expr import Abs, Add, Const, Div, Input, Max, Min, Mul, Sub
 from cperturb import geom
 from cperturb.geom import orientation2d_expr
-from cperturb.grid import GridSpec, grid_float
+from cperturb.grid import GridSpec
 from cperturb.softfloat import RangeError, fl_round
 
 # dyadic and non-dyadic; 2^40 + 1 and 2^-40 leave F_{L,K} at small L or K
@@ -104,9 +106,75 @@ def test_zero_input_at_wide_exponent_field():
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_pairs_give_the_same_verdict(case):
+    # the inputs' pairs, as integers on the least exponent: integer mode
     e, xs, L, K, emax = case
-    verdict = guarded_eval(e, _input_pairs(xs, L, K), L, K, emax, pairs=True)
+    ms, q = on_one_exponent(_input_pairs(xs, L, K))
+    verdict = guarded_eval(e, ms, L, K, emax, q)
     assert verdict == guarded_eval(e, xs, L, K, emax) == reference_guarded_eval(e, xs, L, K, emax)
+
+
+def on_one_exponent(pairs, below=0):
+    """Pairs (M, q) as integers m_i on one exponent q, `below` bits under the
+    least exponent of the nonzero pairs."""
+    q = min((q for M, q in pairs if M), default=0) - below
+    return [M << (p - q) if M else 0 for M, p in pairs], q
+
+
+@st.composite
+def homogeneous(draw, k: int, degree: int, depth: int = 3):
+    """A tree of the given degree over x0..x(k-1) with no constants, each
+    Add, Sub, Min and Max joining two trees of one degree."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if degree == 1:
+            return Input(draw(st.integers(0, k - 1)))
+        kind = Mul
+    else:
+        kind = draw(st.sampled_from((Add, Sub, Min, Max, Abs) + ((Mul,) * 2 if degree > 1 else ())))
+    if kind is Abs:
+        return Abs(draw(homogeneous(k, degree, depth - 1)))
+    if kind is Mul:
+        a = draw(st.integers(1, degree - 1))
+        return Mul(draw(homogeneous(k, a, max(depth - 1, 0))), draw(homogeneous(k, degree - a, max(depth - 1, 0))))
+    return kind(draw(homogeneous(k, degree, depth - 1)), draw(homogeneous(k, degree, depth - 1)))
+
+
+def mixed(k: int):
+    """A join of two homogeneous trees of different degrees."""
+    kinds = st.sampled_from((Add, Sub, Min, Max))
+    return st.builds(lambda kind, a, b: kind(a, b), kinds, homogeneous(k, 1), homogeneous(k, 2))
+
+
+@st.composite
+def integer_mode_cases(draw):
+    """Homogeneous, mixed-degree and other trees, on grids up to a 2^200
+    scale, with grid indices at 0, +-1 and +-2^(L+1), points below 2^e_min,
+    any other members (off the grid, subnormal), and the shared exponent q
+    up to 300 bits below the inputs' least one."""
+    k = draw(st.integers(1, 4))
+    homogeneous_k = homogeneous(k, draw(st.integers(1, 3)))
+    e = draw(st.one_of(homogeneous_k, homogeneous_k, mixed(k), mixed(k), trees(k)))
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        e = Div(e, draw(st.one_of(homogeneous(k, 1), trees(k))))
+    L = draw(st.integers(2, 60))
+    emax = draw(st.one_of(st.integers(0, 2), st.integers(0, 40), st.integers(198, 202)))
+    K = (emax + 2).bit_length() + 1 + draw(st.integers(0, 3))  # emax + 1 < 2^(K-1)
+    spec = GridSpec(L, K, emax)
+    edge = 1 << (L + 1)
+    big = st.integers(edge // 8, edge - 1)  # far from zero, so that N often clears T
+    lams = st.one_of(big, big.map(lambda lam: -lam), st.integers(-edge, edge),
+                     st.sampled_from((0, 1, -1, edge, -edge)), st.integers(-64, 64))
+    xs = [draw(st.one_of(lams.map(lambda lam: grid_float(lam, spec)), members(L, K))) for _ in range(k)]
+    below = draw(st.sampled_from((0, 0, 0, 1, 7, 300)))
+    return e, xs, L, K, emax, below
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(integer_mode_cases())
+def test_integer_mode_equals_reference(case):
+    e, xs, L, K, emax, below = case
+    ms, q = on_one_exponent(_input_pairs(xs, L, K), below)
+    assert guarded_eval(e, ms, L, K, emax, q) == reference_guarded_eval(e, xs, L, K, emax)
 
 
 def test_hull_calls_guarded_eval_once_per_evaluation(monkeypatch):

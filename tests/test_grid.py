@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -15,14 +16,13 @@ from cperturb.grid import (
     compute_emax,
     count_grid,
     enumerate_grid,
-    grid_float,
     grid_floats,
     grid_unit,
     perturb_object_preserving,
     sample_grid_point,
     sample_grid_values,
 )
-from cperturb.softfloat import SoftFloat, enumerate_floats, exponent_min, fl_round, is_representable
+from cperturb.softfloat import SoftFloat, enumerate_floats, exponent_min, fl_round, is_representable, to_pair
 
 
 class TestEmax:
@@ -46,7 +46,7 @@ class TestIndexRange:
             edge = 1 << (L + 1)
             want = (max(math.ceil(a / spec.tau), -edge), min(math.floor(b / spec.tau), edge))
             assert spec.index_range(a, b) == want
-            assert spec.index_range_about(c.numerator, c.denominator, r.numerator, r.denominator) == want
+            assert ref.index_range_about(spec, c.numerator, c.denominator, r.numerator, r.denominator) == want
 
 
 class TestGridUnit:
@@ -101,7 +101,7 @@ class TestGridFloat:
         subnormal = 0
         for lam in lams:
             want = fl_round(lam * spec.tau, L, K)
-            got = grid_float(lam, spec)
+            got = ref.grid_float(lam, spec)
             assert (got.sign, got.significand, got.exponent, got.prec, got.expbits) == (
                 want.sign, want.significand, want.exponent, want.prec, want.expbits)
             subnormal += 0 < want.significand < 1 << L
@@ -135,9 +135,33 @@ class TestGridFloat:
         # points below 2^e_min exist where tau is below it
         below = spec.tau < F(2) ** exponent_min(K)
         assert kinds == ({"zero", "normal", "subnormal"} if below else {"zero", "normal"})
-        assert [grid_float(lam, spec) for lam in lams] == list(got)
+        assert [ref.grid_float(lam, spec) for lam in lams] == list(got)
         assert grid_floats([], spec) == ()
         assert grid_floats(iter(lams[:5]), spec) == got[:5]
+
+    def test_built_members_equal_checked_construction(self, rng):
+        # the members grid_floats builds unchecked, over random formats, grids
+        # and indices of every bit length up to L + 1, equal the checked ones
+        for _ in range(500):
+            L, K = rng.randint(1, 64), rng.randint(2, 12)
+            emax = rng.choice((0, (1 << (K - 1)) - 2, rng.randint(0, (1 << (K - 1)) - 2)))
+            spec = GridSpec(L, K, emax)
+            n = rng.randint(1, L + 1)
+            lam = rng.choice((1, -1)) * rng.randint(1 << (n - 1), (1 << n) - 1)
+            (a,) = grid_floats([lam], spec)
+            b = SoftFloat(a.sign, a.significand, a.exponent, L, K)
+            assert type(a) is SoftFloat
+            assert a == b and b == a and not a != b
+            assert hash(a) == hash(b) and len({a, b}) == 1
+            assert repr(a) == repr(b)
+            assert a.to_fraction() == b.to_fraction() == lam * spec.tau and to_pair(a) == to_pair(b)
+            assert a != grid_floats([-lam], spec)[0]
+            assert a == fl_round(a.to_fraction(), L, K)
+
+    def test_built_members_are_frozen(self):
+        a = grid_floats([3], GridSpec(2, 3, 1))[0]
+        with pytest.raises(FrozenInstanceError):
+            a.sign = -1
 
     def test_builder_checks_the_format_once(self):
         # GridSpec admits L = 0 and K = 1; SoftFloat does not
@@ -145,7 +169,7 @@ class TestGridFloat:
             with pytest.raises(ValueError, match="need L >= 1 and K >= 2"):
                 grid_floats([1], spec)
             with pytest.raises(ValueError, match="need L >= 1 and K >= 2"):
-                grid_float(1, spec)
+                ref.grid_float(1, spec)
 
 
 class TestSampling:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_grid import grid_float
 from reference_guard import reference_guarded_eval
 
 from cperturb.errorbounds import (
@@ -27,7 +28,7 @@ from cperturb.errorbounds import (
 )
 from cperturb.expr import Abs, Add, Const, Input, Max, Min, Mul, Sub
 from cperturb.geom import orientation2d_expr
-from cperturb.grid import GridSpec, grid_float
+from cperturb.grid import GridSpec
 from cperturb.softfloat import SoftFloat, exponent_max, exponent_min
 
 # dyadic constants, some not representable at small L (2^40 + 1, 12345/4096)
@@ -78,7 +79,7 @@ def cases(draw):
     edge = 1 << (L + 1)
     grid = st.integers(-edge, edge).map(lambda lam: grid_float(lam, spec))
     xs = [draw(st.one_of(grid, grid, members(L, K))) for _ in range(k)]
-    form = draw(st.sampled_from(("softfloat", "fraction", "pairs")))
+    form = draw(st.sampled_from(("softfloat", "fraction", "integers")))
     if form == "fraction":
         xs = [v.to_fraction() for v in xs]
     return e, xs, L, K, emax, form
@@ -90,8 +91,10 @@ def cases(draw):
 def test_verdict_equals_reference(case):
     e, xs, L, K, emax, form = case
     expected = reference_guarded_eval(e, xs, L, K, emax)
-    if form == "pairs":
-        assert guarded_eval(e, _input_pairs(xs, L, K), L, K, emax, pairs=True) == expected
+    if form == "integers":  # integer mode, on the least exponent of the inputs
+        pairs = _input_pairs(xs, L, K)
+        q = min((q for M, q in pairs if M), default=0)
+        assert guarded_eval(e, [M << (p - q) if M else 0 for M, p in pairs], L, K, emax, q) == expected
     else:
         assert guarded_eval(e, xs, L, K, emax) == expected
 
@@ -151,6 +154,71 @@ def test_threshold_is_twice_the_static_bound(rounded_runs, offset, rounded):
     xs = [0, 0, F(1, 1 << 9), 0, 0, F(1, 1 << 9) + offset]
     verdict, ran = verdict_and_stage(orientation2d_expr(), xs, L, K, emax, rounded_runs)
     assert verdict == SignCertified(1) and ran == rounded
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Records every call of a block's exact stage and rounded function."""
+    calls = []
+    init = _Block.__init__
+
+    def recording_init(self, node):
+        init(self, node)
+        for name in ("_exact", "_run"):
+            fn = getattr(self, name)
+            if fn is not None:
+                setattr(self, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+
+    monkeypatch.setattr(_Block, "__init__", recording_init)
+    return calls
+
+
+def integer_mode(e, ms, L, K, emax, q, calls):
+    """The integer-mode verdict on x_i = ms[i] * 2^q, checked against the
+    reference, and what decided it: integer mode, the exact stage or the
+    rounded block."""
+    calls.clear()
+    verdict = guarded_eval(e, ms, L, K, emax, q)
+    assert verdict == reference_guarded_eval(e, [F(m) * F(2) ** q for m in ms], L, K, emax)
+    return verdict, "rounded" if "_run" in calls else "exact" if calls else "integer"
+
+
+def test_integer_mode_decides_clear_signs(stage_calls):
+    # orientation at (24, 8, 0) on the grid unit 2^-25: 2B = 2^-18, that is
+    # T = 2^32 at q = -25; r = (0, b) gives N = 2^16 * b
+    L, K, emax, q = 24, 8, 0, -25
+    e = orientation2d_expr()
+    assert integer_mode(e, [0, 0, 1 << 16, 0, 0, 1 << 24], L, K, emax, q, stage_calls) == (
+        SignCertified(1), "integer")
+    assert integer_mode(e, [0, 0, 1 << 16, 0, 0, -(1 << 24)], L, K, emax, q, stage_calls) == (
+        SignCertified(-1), "integer")
+    # |N| above T, at T and below: at and below, the rounded block decides
+    for b, stage in (((1 << 16) + 1, "integer"), (1 << 16, "rounded"), ((1 << 16) - 1, "rounded")):
+        assert integer_mode(e, [0, 0, 1 << 16, 0, 0, b], L, K, emax, q, stage_calls) == (
+            SignCertified(1), stage)
+    # an input at 2^emax = 2^25 * 2^q: the verdict on pairs, whose exact
+    # stage declines it too
+    edge = [0, 0, 1 << 25, 0, 0, 1 << 24]
+    assert integer_mode(e, edge, L, K, emax, q, stage_calls) == (SignCertified(1), "rounded")
+    # q = 1 above emax = 0: every nonzero input is at least 2 > 2^emax
+    assert integer_mode(e, [0, 0, 1, 0, 0, 1], L, K, emax, 1, stage_calls) == (SignCertified(1), "rounded")
+    # q = -125 below the safe quantum -75: the verdict on pairs, whose exact
+    # stage takes these inputs, multiples of 2^-25
+    fine = [0, 0, 1 << 116, 0, 0, 1 << 124]
+    assert integer_mode(e, fine, L, K, emax, q - 100, stage_calls) == (SignCertified(1), "exact")
+    # a block with a constant, and ones joining degrees 2 and 1 (E = 1/4 +- 1/2,
+    # N = 2^48 +- 2^24): the verdict on pairs
+    for e, x2, sign in ((Add(Input(0), Const(F(1, 2))), 0, 1),
+                        (Add(Mul(Input(0), Input(1)), Input(2)), 1 << 24, 1),
+                        (Add(Mul(Input(0), Input(1)), Input(2)), -(1 << 24), -1)):
+        assert integer_mode(e, [1 << 24, 1 << 24, x2], L, K, emax, q, stage_calls) == (
+            SignCertified(sign), "exact")
+    # F_{8,4} at emax = 2, safe quantum 2^-7: x0 * x1 = 9 * 2^-18 underflows
+    # inexactly, though E = x0 * x1 - 1 is far from zero; q = -9 is below
+    # the safe quantum, so integer mode must not decide it
+    e = Sub(Mul(Input(0), Input(1)), Mul(Input(2), Input(3)))
+    verdict, stage = integer_mode(e, [3, 3, 512, 512], 8, 4, 2, -9, stage_calls)
+    assert isinstance(verdict, RangeErrorVerdict) and stage == "rounded"
 
 
 def test_overflowing_intermediate_runs_the_rounded_block(rounded_runs):

@@ -1,7 +1,8 @@
 """The integer hull pipeline against its Fraction references.
 
 compute_emax, the hull oracle and the guarded hull's sort keys all run on
-integers; each is checked here, on fixed seeds, against the Fraction code it
+integers (compute_emax also on the (numerator, denominator) pairs the
+perturbation loop reads); each is checked here, on fixed seeds, against the Fraction code it
 replaced (tests/reference_hull.py) or against exact rational ordering.
 """
 
@@ -12,9 +13,9 @@ import pytest
 
 import reference_hull
 
-from cperturb.geom import _xy_order, exact_convex_hull, guarded_convex_hull
+from cperturb.geom import exact_convex_hull, guarded_convex_hull
 from cperturb.grid import compute_emax
-from cperturb.softfloat import exponent_min, fl_round, to_pair, zero
+from cperturb.softfloat import exponent_min, fl_round, zero
 
 
 def rational(rng: random.Random) -> F:
@@ -37,7 +38,12 @@ class TestComputeEmax:
             scale = F(2) ** rng.choice((0, 0, 0, 200, -30))
             centers = [rational(rng) * scale for _ in range(k)]
             deltas = [abs(rational(rng)) for _ in range(k)]
-            assert compute_emax(centers, deltas) == reference_hull.compute_emax(centers, deltas)
+            expected = reference_hull.compute_emax(centers, deltas)
+            assert compute_emax(centers, deltas) == expected
+            # as the perturbation loop passes them: (numerator, denominator) pairs
+            pairs = [c.as_integer_ratio() for c in centers]
+            assert compute_emax(pairs, [d.as_integer_ratio() for d in deltas]) == expected
+            assert compute_emax(pairs, deltas) == expected
 
     def test_int_and_fraction_inputs_agree(self):
         rng = random.Random(32)
@@ -110,17 +116,25 @@ def softfloats(rng: random.Random, L: int, K: int, n: int) -> list:
 
 class TestGuardedHullKeys:
     def test_xy_order_is_fraction_order(self):
-        # SoftFloats of several F_{L,K}, mixed in one point set
+        # SoftFloats of several F_{L,K}, all members of F_{30,6}, mixed in one
+        # point set: the hull's integer keys sort and merge them by value, so
+        # it starts at the same vertex and keeps the same index of each
+        # coincident group as the exact hull
         rng = random.Random(51)
+        seen = {"success": 0, "merged": 0, "too_few": 0}
         for _ in range(400):
             pool = [v for L, K in ((4, 4), (10, 4), (30, 6)) for v in softfloats(rng, L, K, 3)]
             pts = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 10))]
             vals = [(x.to_fraction(), y.to_fraction()) for x, y in pts]
-            expected = []
-            for i in sorted(range(len(vals)), key=vals.__getitem__):
-                if not expected or vals[i] != vals[expected[-1]]:
-                    expected.append(i)
-            assert _xy_order([to_pair(c) for pt in pts for c in pt]) == expected
+            kind, hull = guarded_convex_hull(pts, 30, 6, emax=7)
+            if len(set(vals)) < 3:
+                assert kind == "guard_failure" and hull is None
+                seen["too_few"] += 1
+            elif kind == "success":
+                assert hull == exact_convex_hull(vals)
+                seen["success"] += 1
+                seen["merged"] += len(set(vals)) < len(vals)
+        assert min(seen.values()) >= 20, seen
 
     @pytest.mark.parametrize("L, K", [(6, 4), (12, 5), (20, 5)])
     def test_matches_oracle_in_one_F(self, L, K):

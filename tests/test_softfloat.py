@@ -1,6 +1,5 @@
 import random
 import struct
-from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -10,16 +9,13 @@ from cperturb.softfloat import (
     DivisionByZero,
     RangeError,
     SoftFloat,
-    _member,
     count_floats,
     enumerate_floats,
-    exponent_max,
     exponent_min,
     fl_binop,
     fl_round,
     is_representable,
     max_magnitude,
-    to_pair,
     zero,
 )
 from conftest import nearest_by_enumeration, random_rational
@@ -91,28 +87,6 @@ class TestRound:
         # 2^-9 = 4 * 2^-11 is an exact subnormal of F_{4,4}
         v = fl_round(F(1, 512), 4, 4)
         assert v.to_fraction() == F(1, 512)
-
-
-class TestUncheckedMember:
-    def test_equals_checked_construction(self, rng):
-        for _ in range(500):
-            L, K = rng.randint(1, 64), rng.randint(2, 12)
-            sign = rng.choice((1, -1))
-            m = rng.randint(1 << L, (1 << (L + 1)) - 1)
-            e = rng.choice((exponent_min(K), exponent_max(K), rng.randint(exponent_min(K), exponent_max(K))))
-            a, b = _member(sign, m, e, L, K), SoftFloat(sign, m, e, L, K)
-            assert type(a) is SoftFloat
-            assert a == b and b == a and not a != b
-            assert hash(a) == hash(b) and len({a, b}) == 1
-            assert repr(a) == repr(b)
-            assert a.to_fraction() == b.to_fraction() and to_pair(a) == to_pair(b)
-            assert a != _member(-sign, m, e, L, K)
-            assert a == fl_round(a.to_fraction(), L, K)
-
-    def test_frozen(self):
-        a = _member(1, 4, 0, 2, 3)
-        with pytest.raises(FrozenInstanceError):
-            a.sign = -1
 
 
 class TestBinop:
