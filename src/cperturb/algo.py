@@ -196,7 +196,7 @@ def _input_drawer(area: tuple, spec: GridSpec,
     integers, every length times S = S0 * 2^max(t, 0) with tau = 2^-t.
     None on an empty index range or after 4096 failed tries of one object."""
     ends, balls = area
-    sampler = GridSampler(spec, spec._indices(ends), rng)
+    sampler = GridSampler(spec, ends, rng)
     if balls:
         t = spec.L + 1 - spec.emax
         up, down = max(t, 0), max(-t, 0)

@@ -410,6 +410,7 @@ class _Block:
         visit(node)
         self.rational = any(c.denominator & (c.denominator - 1) for c in self.consts)  # non-dyadic
         self._folds, self._tables, self._safe = {}, {}, {}  # per (emax, L), (L, K), (emax, L, K)
+        self._quanta_at = {}  # per L
         # instance attributes keep verdict's loads fast; stubs write the code
         self._run = self._write_run
         self._exact = None if self.rational else self._write_exact
@@ -457,43 +458,64 @@ class _Block:
         rounded once at L (a wide exponent field stands in for every admissible
         K): (ind, B, top, quanta).  B = ind * sup * 2^-L is the static bound as
         (numerator, denominator); 2^top bounds every node's sup, each Add and
-        Sub doubling the larger; quanta maps each degree d to the least c over
-        the parts d * Q + c of every node's value quantum, for inputs on 2^Q.
-        ind depends on L alone."""
+        Sub doubling the larger; quanta is _quanta(L).  ind depends on L
+        alone."""
         fold = self._folds.get((emax, L))
         if fold is not None:
             return fold
         domain = 1 << emax if emax >= 0 else Fraction(1, 1 << -emax)
-        nodes = []  # per node (ind, sup, top, parts)
+        nodes = []  # per node (ind, sup, top)
         for kind, kids, k in self._plan:
             if kind is Input:
-                node = 0, domain, emax, {1: 0}
+                node = 0, domain, emax
             elif kind is Const:
                 c = self.consts[k]
                 v = fl_round(c, L, 64).to_fraction() if c else c
-                s, n = max(abs(c), abs(v)), v.numerator
-                node = (int(v != c), s, s.numerator.bit_length() + 1 - s.denominator.bit_length(),
-                        {0: (n & -n).bit_length() - v.denominator.bit_length()} if n else {})
+                s = max(abs(c), abs(v))
+                node = int(v != c), s, s.numerator.bit_length() + 1 - s.denominator.bit_length()
             else:  # Abs reads its one child twice
-                (ia, sa, ta, pa), (ib, sb, tb, pb) = nodes[kids[0]], nodes[kids[-1]]
+                (ia, sa, ta), (ib, sb, tb) = nodes[kids[0]], nodes[kids[-1]]
                 if kind is Mul:
-                    parts = _least([(da + db, ca + cb) for da, ca in pa.items() for db, cb in pb.items()])
-                    node = 1 + ia + ib, sa * sb, ta + tb, parts
+                    node = 1 + ia + ib, sa * sb, ta + tb
+                elif kind is Add or kind is Sub:
+                    node = 1 + max(ia, ib), sa + sb, 1 + max(ta, tb)
                 else:
-                    parts = pa if pa == pb else _least([*pa.items(), *pb.items()])
-                    if kind is Add or kind is Sub:
-                        node = 1 + max(ia, ib), sa + sb, 1 + max(ta, tb), parts
-                    else:
-                        node = max(ia, ib), max(sa, sb), max(ta, tb), parts
+                    node = max(ia, ib), max(sa, sb), max(ta, tb)
             nodes.append(node)
         ind, sup = nodes[-1][:2]
         B = Fraction(ind * sup, 1 << L)
-        top = max(t for _, _, t, _ in nodes)
-        quanta = _least([p for *_, parts in nodes for p in parts.items()])
+        top = max(t for _, _, t in nodes)
         if len(self._folds) >= _CACHE_LIMIT:
             self._folds.clear()
-        fold = self._folds[(emax, L)] = (ind, (B.numerator, B.denominator), top, quanta)
+        fold = self._folds[(emax, L)] = (ind, (B.numerator, B.denominator), top, self._quanta(L))
         return fold
+
+    def _quanta(self, L: int) -> dict:
+        """{degree d: the least c} over the parts d * Q + c of every node's
+        value quantum, for inputs on 2^Q, constants rounded as in _fold: one
+        pass on integers, cached per L."""
+        quanta = self._quanta_at.get(L)
+        if quanta is not None:
+            return quanta
+        nodes = []  # per node {d: least c}
+        for kind, kids, k in self._plan:
+            if kind is Input:
+                parts = {1: 0}
+            elif kind is Const:
+                c = self.consts[k]
+                M, e = to_pair(fl_round(c, L, 64)) if c else (0, 0)
+                parts = {0: e + (M & -M).bit_length() - 1} if M else {}  # the lowest set bit of M * 2^e
+            else:
+                pa, pb = nodes[kids[0]], nodes[kids[-1]]
+                if kind is Mul:
+                    parts = _least([(da + db, ca + cb) for da, ca in pa.items() for db, cb in pb.items()])
+                else:
+                    parts = pa if pa == pb else _least([*pa.items(), *pb.items()])
+            nodes.append(parts)
+        if len(self._quanta_at) >= _CACHE_LIMIT:
+            self._quanta_at.clear()
+        quanta = self._quanta_at[L] = _least([p for parts in nodes for p in parts.items()])
+        return quanta
 
     def _table(self, L: int, K: int) -> tuple:
         """Each constant rounded into F_{L,K} with its sup (None where the
@@ -743,7 +765,10 @@ def guarded_eval(
     inputs m_i * 2^q, which must be such members and are taken unchecked:
     integer mode, whose sign test is one compare on a homogeneous block.
     """
-    guard = getattr(e, "_guard", None) or _guard_of(e)
+    try:
+        guard = e._guard
+    except AttributeError:
+        guard = _guard_of(e)
     return guard(x, L, K, emax) if q is None else guard.int_verdict(x, L, K, emax, q)
 
 
@@ -795,8 +820,8 @@ def value_quantum(e: Expr, emax: int, L: int) -> int:
     Any inexact intermediate is then at least 2^(L+1+q) in magnitude, which is
     what the exponent-width requirement uses to rule out inexact underflow.
     The returned q is the least d * (emax-L-1) + c over the quantum parts of
-    every node of every block of e's guard (_Block._fold), 0 when every
+    every node of every block of e's guard (_Block._quanta), 0 when every
     value is zero; no block code is written.
     """
     Q, blocks = emax - L - 1, _guard_of(e).blocks
-    return min((d * Q + c for b in blocks for d, c in b._fold(emax, L)[3].items()), default=0)
+    return min((d * Q + c for b in blocks for d, c in b._quanta(L).items()), default=0)

@@ -5,10 +5,10 @@ tau = 2^(emax-L-1) inside [-2^emax, 2^emax].  Every grid point is a member of
 F_{L,K}, so perturbed inputs enter the arithmetic exactly and the error
 analysis may treat them as error-free.
 
-Sampling uses SplitMix64 keyed by (seed, counter): for word index i the
-output is mix(seed + (i+1)*GAMMA) with the standard SplitMix64 finalizer.
-Uniform integers are drawn by rejection from the enclosing power of two, so
-there is no modulo bias; each draw is one uniform_int call.  Drawn indices
+Sampling uses SplitMix64 keyed by (seed, counter): word i is mix(seed + i*GAMMA)
+with the standard finalizer, computed in batches (see SplitMix64).  Uniform
+integers are drawn by rejection from the enclosing power of two, so there is
+no modulo bias; each draw is one uniform_int call.  Drawn indices
 become members of F_{L,K} through grid_floats, which builds in-range normal
 points from their fields, with no rounding and no re-validation.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from struct import Struct
 from typing import Iterable, Optional, Sequence
 
 from .softfloat import SoftFloat, _round_scaled, exponent_min, is_representable, zero
@@ -41,35 +42,72 @@ _GAMMA = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
 
 
+def _batches() -> list:
+    """Per c < 511, the batch after c words, of k = c + 1 rounded down to a power of
+    two: its reader (None for k = 1), and 1, 2^64 - 1 and (j + 1) * GAMMA in lane j."""
+    out, ones, steps = [], 1, _GAMMA
+    for b in range(9):
+        k, unpack = 1 << b, Struct(f"<{2 << b}Q").unpack  # the lanes' 64-bit halves, low first
+        read = (lambda z, k=k, unpack=unpack: unpack(z.to_bytes(16 * k, "little"))[::2]) if k > 1 else None
+        out += [(read, ones, ones * _M64, steps)] * k
+        steps += (steps + k * _GAMMA * ones) << 128 * k
+        ones += ones << 128 * k
+    return out
+
+
+_LANES = _batches()
+
+
 class SplitMix64:
-    """Counter-based SplitMix64 stream; word i depends only on (seed, i)."""
+    """Counter-based SplitMix64 stream; word i depends only on (seed, i).
+
+    One pass of the finalizer over 128-bit lane j of an integer gives word c + 1 + j
+    (a lane times a 64-bit constant fits; a mask takes it mod 2^64).  A fresh
+    stream's batches hold 1, 2, 4, ... words, up to 256.  They only cache words
+    of the fixed seed: uniform_int reads word counter + 1 from the batch, and
+    computes one there whenever counter has left it; the stream does not change."""
 
     def __init__(self, seed: int):
         self.seed = seed & _M64
         self.counter = 0
+        self._base, self._words = 0, ()  # _words[i] is word _base + 1 + i
 
     def uniform_int(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection from 2^ceil(log2 n).
 
-        Each word is the SplitMix64 output for the next counter value,
-        computed here so that a draw is one call."""
-        if n <= 0:
+        A word is taken whole when n needs more than 32 bits, else in
+        chunks of ceil(log2 n) bits from its low end."""
+        if n <= 1:
+            if n == 1:
+                return 0
             raise ValueError("need n >= 1")
-        if n == 1:
-            return 0
         bits = (n - 1).bit_length()
         mask = (1 << bits) - 1
         while True:
-            self.counter += 1
-            z = (self.seed + self.counter * _GAMMA) & _M64
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-            word = z ^ (z >> 31)
-            for _ in range(64 // bits if bits <= 32 else 1):
-                v = word & mask
+            c = self.counter
+            self.counter = c + 1
+            i = c - self._base
+            words = self._words
+            if 0 <= i < len(words):
+                word = words[i]
+            else:
+                read, ones, lanes, steps = _LANES[c if 0 <= c < 511 else -1]
+                z = (((self.seed + c * _GAMMA) & _M64) * ones + steps) & lanes
+                z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
+                z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
+                word = z ^ (z >> 31)
+                if read:
+                    self._base, self._words = c, read(word)
+                    word = self._words[0]
+            v, end = word & mask, bits
+            while v >= n:  # on to the word's next chunk, if it has one
+                end += bits
+                if end > 64:
+                    break
                 word >>= bits
-                if v < n:
-                    return v
+                v = word & mask
+            else:
+                return v
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -88,7 +126,7 @@ def compute_emax(centers: Sequence[Exact], deltas: Sequence[Exact]) -> int:
     if not centers:
         raise ValueError("need at least one coordinate")
     emax = 0
-    for c, d in zip(centers, deltas):
+    for c, d in zip(centers, deltas, strict=True):  # ValueError on unequal lengths
         cn, cd = c if c.__class__ is tuple else _ratio(c)
         dn, dd = d if d.__class__ is tuple else _ratio(d)
         a, b = (cn if cn >= 0 else -cn) * dd + dn * cd, cd * dd
@@ -125,10 +163,11 @@ class GridSpec:
         """Integers lo..hi (inclusive) with lo*tau >= a, hi*tau <= b, clipped
         to [-2^emax, 2^emax]."""
         a, b = Fraction(a), Fraction(b)
-        return self._indices([(a.numerator, a.denominator, b.numerator, b.denominator)])[0]
+        lo, span = self._indices([(a.numerator, a.denominator, b.numerator, b.denominator)])[0]
+        return lo, lo + span - 1
 
     def _indices(self, ends: Iterable[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
-        """index_range(an/ad, bn/bd) for each (an, ad, bn, bd), ad and bd positive."""
+        """(lo, span) of index_range(an/ad, bn/bd) for each (an, ad, bn, bd), ad, bd > 0."""
         t = self.L + 1 - self.emax  # 1/tau = 2^t, and 2^emax/tau = 2^(L+1)
         edge = 1 << (self.L + 1)
         out = []
@@ -137,7 +176,8 @@ class GridSpec:
                 lo, hi = -((-an << t) // ad), (bn << t) // bd
             else:
                 lo, hi = -(-an // (ad << -t)), bn // (bd << -t)
-            out.append((lo if lo > -edge else -edge, hi if hi < edge else edge))
+            lo = lo if lo > -edge else -edge
+            out.append((lo, (hi if hi < edge else edge) - lo + 1))
         return out
 
 
@@ -233,15 +273,16 @@ class GridSampler:
     members of F_{L,K}.
     """
 
-    def __init__(self, spec: GridSpec, ranges: Iterable[tuple[int, int]], rng: SplitMix64):
-        """``ranges``: inclusive (lo, hi) index pairs, as index_range gives."""
+    def __init__(self, spec: GridSpec, ends: Iterable[tuple[int, int, int, int]], rng: SplitMix64):
+        """``ends``: per coordinate the interval [an/ad, bn/bd] as (an, ad, bn, bd)."""
         self.spec = spec
         self.rng = rng
-        self.ranges = [(lo, hi - lo + 1) for lo, hi in ranges]  # (lo, span)
+        self.ranges = spec._indices(ends)  # (lo, span)
 
     @classmethod
     def from_box(cls, box: PerturbationBox, spec: GridSpec, rng: SplitMix64) -> "GridSampler":
-        return cls(spec, (spec.index_range(*box.interval(i)) for i in range(box.dimension)), rng)
+        ends = [(*a.as_integer_ratio(), *b.as_integer_ratio()) for a, b in map(box.interval, range(box.dimension))]
+        return cls(spec, ends, rng)
 
     def draw(self) -> list[int]:
         """One uniform grid index for each coordinate."""
@@ -258,27 +299,30 @@ class GridSampler:
         coordinate order.  A ball (unit, centre, bound) covers the next
         len(centre) coordinates and holds the indices lam with
         sum_j (lam_j * unit - centre_j)^2 <= bound; its coordinates are
-        redrawn together until they fall inside it.  None once a ball has
-        failed 4096 tries."""
+        redrawn together, in place, until they fall inside it.  None once a
+        ball has failed 4096 tries; ValueError if the balls leave coordinates."""
         uniform, ranges = self.rng.uniform_int, self.ranges
-        lams: list[int] = []
+        lams = [0] * len(ranges)
+        j = 0  # the ball's first coordinate
         for unit, centre, bound in balls:
-            base = len(lams)
             for _ in range(4096):
                 d2 = 0
-                for j, c in enumerate(centre, base):
-                    lo, span = ranges[j]
+                k = j
+                for c in centre:
+                    lo, span = ranges[k]
                     if span <= 0:
-                        raise EmptyGrid(f"coordinate {j}: no multiple of tau = {self.spec.tau}")
-                    lam = lo + uniform(span)
-                    lams.append(lam)
+                        raise EmptyGrid(f"coordinate {k}: no multiple of tau = {self.spec.tau}")
+                    lam = lams[k] = lo + uniform(span)
                     v = lam * unit - c
                     d2 += v * v
+                    k += 1
                 if d2 <= bound:
                     break
-                del lams[base:]
             else:
                 return None
+            j = k
+        if j != len(lams):
+            raise ValueError(f"balls cover {j} of {len(lams)} coordinates")
         return lams
 
     def values(self, lams: Iterable[int]) -> list[Fraction]:

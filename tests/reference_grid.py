@@ -1,8 +1,8 @@
 """Reference draws: the per-caller draw loops that GridSampler replaces.
 
 `next_u64` is the SplitMix64 word by word, through the standard finalizer
-`_mix64`, as the stream once exposed it; `SplitMix64.uniform_int` computes
-the same words in its own body.
+`_mix64`, as the stream once exposed it, and `uniform_int` draws from those
+words; `SplitMix64.uniform_int` computes the same words in batches.
 
 `grid_float` and `index_range_about` are the one-point and centre/radius
 forms of `grid.grid_floats` and `GridSpec.index_range`, which the tests use
@@ -42,6 +42,21 @@ def next_u64(rng: SplitMix64) -> int:
     return _mix64(rng.seed + rng.counter * _GAMMA)
 
 
+def uniform_int(rng: SplitMix64, n: int) -> int:
+    """rng.uniform_int(n) on the words of next_u64, as first written."""
+    if n == 1:
+        return 0
+    bits = (n - 1).bit_length()
+    mask = (1 << bits) - 1
+    while True:
+        word = next_u64(rng)
+        for _ in range(64 // bits if bits <= 32 else 1):
+            v = word & mask
+            word >>= bits
+            if v < n:
+                return v
+
+
 def grid_float(lam: int, spec: GridSpec) -> SoftFloat:
     """The grid point lam * tau as a member of F_{L,K} (see grid_floats)."""
     return grid_floats((lam,), spec)[0]
@@ -51,7 +66,8 @@ def index_range_about(spec: GridSpec, cn: int, cd: int, rn: int, rd: int) -> tup
     """spec.index_range(c - r, c + r) for c = cn/cd and r = rn/rd with
     positive cd, rd, taking and computing integers only."""
     den = cd * rd
-    return spec._indices([(cn * rd - rn * cd, den, cn * rd + rn * cd, den)])[0]
+    lo, span = spec._indices([(cn * rd - rn * cd, den, cn * rd + rn * cd, den)])[0]
+    return lo, lo + span - 1
 
 
 def sample_grid_values(box: PerturbationBox, spec: GridSpec, rng: SplitMix64) -> list[Fraction]:

@@ -31,6 +31,13 @@ class TestEmax:
         assert compute_emax([F(1, 2)], [F(1, 2)]) == 0
         assert compute_emax([7, -9], [1, 2]) == 4
 
+    def test_lengths_must_agree(self):
+        # zip would drop the coordinate 100 and answer 1
+        with pytest.raises(ValueError):
+            compute_emax([1, 100], [F(1, 2)])
+        with pytest.raises(ValueError):
+            compute_emax([1], [F(1, 2), F(1, 2)])
+
 
 class TestIndexRange:
     def test_equals_ceil_and_floor_over_tau(self):
@@ -323,6 +330,58 @@ class TestRng:
                 want = next((c for c in ((word >> s) & 7 for s in range(0, 63, 3)) if c < 5), None)
             assert a.uniform_int(5) == want
             assert a.counter == b.counter
+
+    # spans of 1 to 70 bits: powers of two and their neighbours, 2^32 and
+    # 2^32 + 1 on either side of the whole-word rule, 2^64 and beyond
+    SPANS = sorted({n for k in range(71) for n in ((1 << k) - 1, 1 << k, (1 << k) + 1) if n >= 1}
+                   | {3, 5, 1000, 12345, (1 << 32) + 1, 10**12, 3 << 62})
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1, 1 << 70, 12345])
+    def test_batched_stream_equals_word_by_word(self, seed):
+        # long runs of draws cross every batch size and many batch edges; the
+        # counter is checked after each draw
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        assert a.seed == b.seed == seed & ((1 << 64) - 1)
+        rng = random.Random(seed)
+        for _ in range(3000):
+            n = rng.choice(self.SPANS)
+            assert a.uniform_int(n) == ref.uniform_int(b, n)
+            assert a.counter == b.counter
+        assert a.counter > 1024  # well into the 256-word batches
+
+    def test_short_streams_equal_word_by_word(self):
+        # a fresh stream per draw count: streams of one to three words, and
+        # words taken singly through the reference between the draws
+        for seed in range(200):
+            for draws in (1, 2, 3):
+                a, b = SplitMix64(seed), SplitMix64(seed)
+                for j in range(draws):
+                    n = self.SPANS[(seed * 7 + j) % len(self.SPANS)]
+                    assert a.uniform_int(n) == ref.uniform_int(b, n)
+                    assert a.counter == b.counter
+                assert a.uniform_int(1 << 64) == ref.next_u64(b)
+                assert ref.next_u64(a) == ref.next_u64(b)
+
+    def test_counter_moved_from_outside(self):
+        # the words follow the counter wherever it is set: forward past the
+        # batch, back into it, back before it, and near 2^64, where the word
+        # index wraps
+        top = 1 << 64
+        a, b = SplitMix64(77), SplitMix64(77)
+        rng = random.Random(4)
+        for target in (0, 5, 3, 700, 690, 2, 1000, 999, top - 3, top - 1, top + 5, 40, top - 700, 2 * top):
+            a.counter = b.counter = target
+            for _ in range(rng.randint(1, 300)):
+                n = rng.choice(self.SPANS)
+                assert a.uniform_int(n) == ref.uniform_int(b, n)
+                assert a.counter == b.counter
+            ref.next_u64(a)  # one word through the reference moves the counter alone
+            ref.next_u64(b)
+            assert a.uniform_int(1 << 64) == ref.next_u64(b)
+        # past index 2^64 the word index wraps: word 2^64 + i is word i
+        a = SplitMix64(5)
+        a.counter = top - 1
+        assert [a.uniform_int(1 << 64) for _ in range(3)] == [ref._mix64(5 + i * ref._GAMMA) for i in range(3)]
 
     def test_uniform_int_range(self):
         rng = SplitMix64(3)

@@ -19,6 +19,7 @@ from cperturb.algo import (
 )
 from cperturb.grid import (
     EmptyGrid,
+    GridSampler,
     GridSpec,
     PerturbationBox,
     SplitMix64,
@@ -193,3 +194,15 @@ def test_run_constants_draw_the_reference_stream(kind, variant):
     assert drawn == want
     assert ts == {-1, 0, 1}
     assert 0 < len(drawn) < 7 * len(deltas)  # the coarse rounds draw nothing
+
+
+def test_balls_must_cover_every_coordinate():
+    # two coordinates, 0 and 1/2 on tau = 1/2 (indices 0 and 1): a ball over
+    # coordinate 0 alone leaves coordinate 1 undrawn
+    box = PerturbationBox((0, F(1, 2)), (0, 0))
+    sampler = GridSampler.from_box(box, GridSpec(1, 4, 1), SplitMix64(3))
+    assert sampler.draw_balls([(1, (0, 1), 2)]) == [0, 1]
+    with pytest.raises(ValueError):
+        sampler.draw_balls([(1, (0,), 1)])
+    with pytest.raises(ValueError):
+        sampler.draw_balls([])
