@@ -25,34 +25,21 @@ fp-safe set is the product of the children's safe sets).
 Guards are built once per expression (compile_guard), memoized on the
 expression instance.  Each maximal arithmetic block is planned as its nodes in
 post-order; one fold of the plan per (emax, L) gives the block's static bound,
-its exact stage's range record and its value quantum.  On first use the plan
-becomes straight-line Python on signed integer significand/exponent pairs,
-rounding every operation exactly as softfloat does.  The dynamic sup (the sup
-recursion seeded with the actual input magnitudes) is carried as an exact
-dyadic integer pair, so the certify test |v| > min(ind * dynsup * 2^-L,
-static) is an integer shift-compare; a block holding a non-dyadic constant
-carries its dynamic sup as an exact Fraction instead.
-
-A block with only dyadic constants first runs an exact stage on the same
-alignment templates for E, its exact value.  With inputs in [-2^emax, 2^emax]
-and no range error possible (_Block._range_safe), |fl(E) - E| <= B, the
-static bound, so |E| > 2B means the rounded block would certify sign E.
-The rounded block and the exact stage load each input index once, at its
-first read (where the stage also checks it); later reads reuse that pair.
-
-Integer mode (guarded_eval with q) takes the inputs as integers m_i of value
-m_i * 2^q, as the hull holds its points.  A homogeneous block (no constant,
-each Add, Sub, Min and Max joining operands of one degree) then has
-E = N * 2^(deg * q), where N is the block on the m_i, exact; its third
-function, written on first use, computes N with no alignment and no
-per-input exponent.  Given the range-safe record at (emax, L, K), q at or
-above its Q_safe and every |m_i| below H = 2^(emax - q), the exact stage's
-premises hold, so |N| > T, T = floor(2B / 2^(deg * q)) cached per
-(emax, L, K, q), is |E| > 2B, and the function certifies sign N = sign E.
-Every other case runs the verdict on the pairs (m_i, q): another block, q
-below Q_safe, an input at 2^emax, or |N| <= T.  A guard that is one block
-calls that function directly, so a clear test costs the block's integer
-arithmetic, one cache lookup and one compare.
+its range-safe record and its value quantum.  A guard takes its inputs as
+integers m_i on one exponent q, x_i = m_i * 2^q, as the hull holds its points
+(_on_one_exponent puts checked inputs there), and each block first runs its
+integer mode: with only dyadic constants, E = N * 2^e(q) for an integer N,
+e(q) the least d * q + c over the block's quantum parts.  Given the range-safe
+record at (emax, L, K), q at or above its Q_safe and every |m_i| below
+H = 2^(emax - q), |fl(E) - E| <= B, the static bound, so |N| > T =
+floor(2B / 2^e(q)) means the rounded block would certify sign N, and the
+integer mode returns it.  Every other case, and every block holding a
+non-dyadic constant, runs the rounded block: straight-line Python on signed
+integer significand/exponent pairs, rounding every operation exactly as
+softfloat does.  Its dynamic sup (the sup recursion seeded with the actual
+input magnitudes) is an exact dyadic integer pair, or an exact Fraction with a
+non-dyadic constant, so the certify test |v| > min(ind * dynsup * 2^-L,
+static) is an integer shift-compare.
 """
 
 from __future__ import annotations
@@ -163,12 +150,13 @@ GuardVerdict = Union[SignCertified, GuardFailed, RangeErrorVerdict]
 
 # --- compiled guards ------------------------------------------------------------
 #
-# A block runs on signed integer pairs (M, q) of value M * 2^q; zero is (0, 0),
-# and pairs need not be normalized, because each rounding starts from the exact
-# value.  A block's dynamic sup is the dyadic pair (D, E) of value D * 2^E, or a
-# Fraction in a block that holds a non-dyadic constant.  The source templates
-# below take only integers (node numbers, input and constant indices);
-# constants reach the code as values in the table argument C.
+# The rounded block runs on signed integer pairs (M, q) of value M * 2^q, its
+# inputs all on the guard's one exponent; pairs need not be normalized, because
+# each rounding starts from the exact value.  A block's dynamic sup is the
+# dyadic pair (D, E) of value D * 2^E, or a Fraction in a block that holds a
+# non-dyadic constant.  The source templates below take only integers (node
+# numbers, input and constant indices); the rounded block's constants reach
+# the code as values in the table argument C.
 
 _OP_NAMES = ("+", "-", "*")
 _OP_INDEX = {Add: 0, Sub: 1, Mul: 2}
@@ -225,7 +213,7 @@ _ALIGN = {
 }
 
 _VALUE = {
-    Input: "    M{i}, q{i} = xs[{k}]\n",
+    Input: "    M{i} = xs[{k}]\n    q{i} = q\n",
     **{kind: step + _ROUND for kind, step in _ALIGN.items()},
     Abs: """\
     M{i} = M{a} if M{a} >= 0 else -M{a}
@@ -249,23 +237,10 @@ _VALUE = {
 """,
 }
 
-# The exact stage: the block on exact pairs, constants exact in X; None for an
-# input not below 2^H or not a multiple of 2^Q (trailing zeros count if q < Q).
-_EXACT = {
-    **_VALUE,
-    **{kind: step + "    M{i} = t\n    q{i} = u\n" for kind, step in _ALIGN.items()},
-    Const: "    M{i}, q{i} = X[{k}]\n",
-    Input: """\
-    M{i}, q{i} = xs[{k}]
-    if M{i} and (q{i} + M{i}.bit_length() > H or q{i} < Q and q{i} + (M{i} & -M{i}).bit_length() <= Q):
-        return None
-""",
-}
-
-# Integer mode: a homogeneous block on inputs m_i * 2^q computes N, with
-# E = N * 2^(deg * q), and certifies sign N when |N| > T; it falls back to the
-# pairs verdict without limits (T, H), for an input not below 2^emax = H * 2^q
-# and for |N| <= T.
+# Integer mode: the block on inputs m_i * 2^q computes N, with
+# E = N * 2^e_root(q), and certifies sign N when |N| > T; it runs the rounded
+# block without limits (T, H), for an input not below 2^emax = H * 2^q and for
+# |N| <= T.  S0, S1, ... shift the operands of a join onto its exponent.
 _INT_HEAD = """\
 def verdict(xs, L, K, emax, q):
     limits = get((emax, L, K, q), False)
@@ -273,7 +248,7 @@ def verdict(xs, L, K, emax, q):
         limits = int_limits(emax, L, K, q)
     if not limits:
         return fall(xs, L, K, emax, q)
-    T, H = limits
+    T, H{shifts} = limits
 """
 _INT_TAIL = """\
     if M{i} > T or M{i} < -T:
@@ -282,10 +257,11 @@ _INT_TAIL = """\
 """
 _INTS = {
     Input: "    M{i} = xs[{k}]\n    if abs(M{i}) >= H:\n        return fall(xs, L, K, emax, q)\n",
-    **{kind: f"    M{{i}} = M{{a}} {op} M{{b}}\n" for kind, op in zip(_OP_INDEX, _OP_NAMES)},
-    Abs: "    M{i} = abs(M{a})\n",
-    Min: "    M{i} = M{a} if M{a} <= M{b} else M{b}\n",
-    Max: "    M{i} = M{a} if M{a} >= M{b} else M{b}\n",
+    Const: "    M{i} = {k}\n",
+    **{kind: f"    M{{i}} = {{a}} {op} {{b}}\n" for kind, op in zip(_OP_INDEX, _OP_NAMES)},
+    Abs: "    M{i} = abs({a})\n",
+    Min: "    M{i} = {a} if {a} <= {b} else {b}\n",
+    Max: "    M{i} = {a} if {a} >= {b} else {b}\n",
 }
 
 _CONST_ENTRY = """\
@@ -339,7 +315,7 @@ _RATIONAL_SUP = {
 _RATIONAL_SUP.update({Sub: _RATIONAL_SUP[Add], Min: _RATIONAL_SUP[Max]})
 
 _HEAD = """\
-def block(xs, L, K, C):
+def block(xs, q, L, K, C):
     emx = 1 << (K - 1)
     emin = 1 - emx
     L1 = L + 1
@@ -348,9 +324,10 @@ def block(xs, L, K, C):
 _DYADIC_TAIL = "    return M{i}, q{i}, D{i}, E{i}, 1, C[-1]\n"
 _RATIONAL_TAIL = "    return M{i}, q{i}, S{i}.numerator, 0, S{i}.denominator, C[-1]\n"
 
-# per-block caches of constant tables (per L, K), static bounds (per emax, L)
-# and range-safe records (per emax, L, K) are cleared when they reach this size
-_CACHE_LIMIT = 256
+# per-block caches of constant tables (per L, K), static bounds (per emax, L),
+# range-safe records (per emax, L, K) and integer-mode limits (per emax, L, K,
+# q) are cleared when they reach this size
+_CACHE_LIMIT = 1024
 
 
 def _edge(t: int, u: int, L: int, K: int, op: str) -> tuple[int, int]:
@@ -368,6 +345,16 @@ def _least(parts) -> dict:
     return dict(sorted(parts, reverse=True))
 
 
+def _exponent(parts: tuple, q: int) -> Optional[int]:
+    """The least d * q + c over the (d, c) parts; None without parts."""
+    return min([d * q + c for d, c in parts]) if parts else None
+
+
+def _low(M: int, e: int) -> Optional[int]:
+    """The exponent of the lowest set bit of M * 2^e; None for zero."""
+    return e + (M & -M).bit_length() - 1 if M else None
+
+
 _POSITIVE = SignCertified(1)
 _NEGATIVE = SignCertified(-1)
 _FAILED = GuardFailed()
@@ -378,9 +365,9 @@ class _Block:
     constants) planned as one numbered step per node in post-order.
 
     The plan is the block's one structure.  _fold reads it for the static
-    bound, the range-safe record and the value quantum; the two
-    straight-line functions are written from it and exec'd on first use,
-    so an analysis that reads only the quantum compiles nothing."""
+    bound, the range-safe record and the value quantum; the rounded block and
+    the integer mode are written from it and exec'd on first use, so an
+    analysis that reads only the quantum compiles nothing."""
 
     def __init__(self, node: Expr):
         self.node = node
@@ -410,48 +397,65 @@ class _Block:
         visit(node)
         self.rational = any(c.denominator & (c.denominator - 1) for c in self.consts)  # non-dyadic
         self._folds, self._tables, self._safe = {}, {}, {}  # per (emax, L), (L, K), (emax, L, K)
+        self._limits = {}  # per (emax, L, K, q)
         self._quanta_at = {}  # per L
-        # instance attributes keep verdict's loads fast; stubs write the code
+        # an instance attribute keeps the verdict's loads fast; the stub writes the code
         self._run = self._write_run
-        self._exact = None if self.rational else self._write_exact
         self._fixed = None
         self._code = None
 
     def _write_run(self, *args):
-        return self._write()[0](*args)
+        return self._write()(*args)
 
-    def _write_exact(self, *args):
-        return self._write()[1](*args)
-
-    def _write(self) -> tuple:
-        """The rounded block and, with only dyadic constants, the exact stage,
-        written and exec'd once; each stub still in place gives way to them."""
+    def _write(self):
+        """The rounded block and, with only dyadic constants, the integer mode,
+        written and exec'd once; the stubs still in place give way to them."""
         if self._code is not None:
             return self._code
         sup = _RATIONAL_SUP if self.rational else _DYADIC_SUP
         lines = [_HEAD]
-        exact = ["def exact(xs, Q, H):\n"]
         for i, (kind, kids, k) in enumerate(self._plan):
             a, b = (kids + (0, 0))[:2]
             if kind is not Const:
                 lines.append(_VALUE[kind].format(i=i, k=k, a=a, b=b))
             lines.append(sup[kind].format(i=i, k=k, a=a, b=b))
-            exact.append(_EXACT[kind].format(i=i, k=k, a=a, b=b))
-        root = len(self._plan) - 1
-        lines.append((_RATIONAL_TAIL if self.rational else _DYADIC_TAIL).format(i=root))
-        if not self.rational:  # a non-dyadic constant has no exact pair
-            lines += exact + [f"    return M{root}, q{root}\n"]
+        lines.append((_RATIONAL_TAIL if self.rational else _DYADIC_TAIL).format(i=len(self._plan) - 1))
+        if not self.rational:  # a non-dyadic constant has no exact integer
+            lines += self._integer_mode()
         namespace = {"RangeError": RangeError, "_edge": _edge, "_magnitude": _magnitude, "_OP_NAMES": _OP_NAMES,
-                     "X": [(c.numerator, 1 - c.denominator.bit_length()) for c in self.consts]}
+                     "get": self._limits.get, "int_limits": self._int_limits, "fall": self._rounded,
+                     "POSITIVE": _POSITIVE, "NEGATIVE": _NEGATIVE}
         exec(compile("".join(lines), "<compiled guard block>", "exec"), namespace)
-        self._code = namespace["block"], namespace.get("exact")
+        self._code = namespace["block"]
         if self._run == self._write_run:
-            self._run = self._code[0]
-        if self._exact == self._write_exact:
-            self._exact = self._code[1]
+            self._run = self._code
+        self.verdict = namespace.get("verdict", self._rounded)
         if not self.consts:  # the table holds only the block's ind, for every L, K
             self._fixed = (self._fold(0, 1)[0],)
         return self._code
+
+    def _integer_mode(self) -> list:
+        """The integer-mode verdict's source.  Node i's value is M{i} * 2^e_i(q),
+        e_i(q) the least d * q + c over its parts with exact constants; a join
+        whose operands' parts differ shifts them onto e_i(q) by S0, S1, ...,
+        which _int_limits computes per q.  A homogeneous block (no constant,
+        each join of one degree) writes no shift."""
+        parts = self._parts([_low(c.numerator, 1 - c.denominator.bit_length()) for c in self.consts])
+        self._root, self._shifts, lines = tuple(parts[-1].items()), [], []
+        for i, (kind, kids, k) in enumerate(self._plan):
+            a, b = (kids + (0, 0))[:2]
+            ops = f"M{a}", f"M{b}"
+            if kind is Const:
+                c = self.consts[k].numerator
+                k = c // (c & -c) if c else 0
+            elif len(kids) == 2 and kind is not Mul and parts[a] != parts[b]:
+                for op, j in zip(("a", "b"), kids):
+                    lines.append(f"    {op} = M{j} << S{len(self._shifts)}\n")
+                    self._shifts.append((tuple(parts[j].items()), tuple(parts[i].items())))
+                ops = "a", "b"
+            lines.append(_INTS[kind].format(i=i, k=k, a=ops[0], b=ops[1]))
+        head = _INT_HEAD.format(shifts="".join(f", S{j}" for j in range(len(self._shifts))))
+        return [head, *lines, _INT_TAIL.format(i=len(self._plan) - 1)]
 
     def _fold(self, emax: int, L: int) -> tuple:
         """One pass over the plan at (emax, L) by annotate's rules, each constant
@@ -490,21 +494,17 @@ class _Block:
         fold = self._folds[(emax, L)] = (ind, (B.numerator, B.denominator), top, self._quanta(L))
         return fold
 
-    def _quanta(self, L: int) -> dict:
-        """{degree d: the least c} over the parts d * Q + c of every node's
-        value quantum, for inputs on 2^Q, constants rounded as in _fold: one
-        pass on integers, cached per L."""
-        quanta = self._quanta_at.get(L)
-        if quanta is not None:
-            return quanta
-        nodes = []  # per node {d: least c}
+    def _parts(self, lows: list) -> list:
+        """Per node {degree d: the least c} over the parts d * Q + c of its
+        value quantum, for inputs on 2^Q and constant k a multiple of
+        2^lows[k] (None for zero): the node's values are multiples of
+        2^(d * Q + c) for its least part, and zero without parts."""
+        nodes = []
         for kind, kids, k in self._plan:
             if kind is Input:
                 parts = {1: 0}
             elif kind is Const:
-                c = self.consts[k]
-                M, e = to_pair(fl_round(c, L, 64)) if c else (0, 0)
-                parts = {0: e + (M & -M).bit_length() - 1} if M else {}  # the lowest set bit of M * 2^e
+                parts = {} if lows[k] is None else {0: lows[k]}
             else:
                 pa, pb = nodes[kids[0]], nodes[kids[-1]]
                 if kind is Mul:
@@ -512,9 +512,18 @@ class _Block:
                 else:
                     parts = pa if pa == pb else _least([*pa.items(), *pb.items()])
             nodes.append(parts)
+        return nodes
+
+    def _quanta(self, L: int) -> dict:
+        """The parts of every node over _parts, constants rounded as in _fold:
+        one pass on integers, cached per L."""
+        quanta = self._quanta_at.get(L)
+        if quanta is not None:
+            return quanta
+        lows = [_low(*to_pair(fl_round(c, L, 64))) if c else None for c in self.consts]
         if len(self._quanta_at) >= _CACHE_LIMIT:
             self._quanta_at.clear()
-        quanta = self._quanta_at[L] = _least([p for parts in nodes for p in parts.items()])
+        quanta = self._quanta_at[L] = _least([p for parts in self._parts(lows) for p in parts.items()])
         return quanta
 
     def _table(self, L: int, K: int) -> tuple:
@@ -537,47 +546,32 @@ class _Block:
         table = self._tables[(L, K)] = (*entries, self._fold(0, L)[0])  # ind: any emax
         return table
 
-    def int_verdict(self, xs: Sequence[int], L: int, K: int, emax: int, q: int) -> "GuardVerdict":
+    def verdict(self, xs: Sequence[int], L: int, K: int, emax: int, q: int) -> "GuardVerdict":
         """The verdict on inputs m_i * 2^q given as the integers m_i.  The
-        first call writes the block's integer mode, which then stands in for
-        this method, or the pairs verdict for a block that is not homogeneous
-        (a constant, or an Add, Sub, Min or Max joining two degrees)."""
+        first call writes the block's code: the integer mode then stands in
+        for this method, or the rounded verdict in a block that holds a
+        non-dyadic constant."""
+        self._write()
+        return self.verdict(xs, L, K, emax, q)
 
-        def fall(xs, L, K, emax, q):
-            return self.verdict([(m, q) for m in xs], L, K, emax)
-
-        degree, lines = [], [_INT_HEAD]
-        for i, (kind, kids, k) in enumerate(self._plan):
-            d = {degree[j] for j in kids}
-            if kind is Const or kind is not Mul and len(d) > 1:
-                self.int_verdict = fall
-                return fall(xs, L, K, emax, q)
-            degree.append(sum(degree[j] for j in kids) if kind is Mul else max(d, default=1))
-            a, b = (kids + (0, 0))[:2]
-            lines.append(_INTS[kind].format(i=i, k=k, a=a, b=b))
-        self._degree = degree[-1]
-        namespace = {"get": self._safe.get, "int_limits": self._int_limits, "fall": fall,
-                     "POSITIVE": _POSITIVE, "NEGATIVE": _NEGATIVE}
-        exec(compile("".join(lines) + _INT_TAIL.format(i=i), "<integer-mode guard block>", "exec"), namespace)
-        self.int_verdict = namespace["verdict"]
-        return self.int_verdict(xs, L, K, emax, q)
-
-    def _int_limits(self, emax: int, L: int, K: int, q: int) -> Optional[tuple[int, int]]:
-        """(T, H) for integer mode on inputs m_i * 2^q at (emax, L, K): with
-        E = N * 2^(deg * q), |N| > T is |E| > 2B, and |m_i| < H is
-        |x_i| < 2^emax.  None unless the range-safe record admits q.  Cached
-        in _safe beside the records, which _safe.clear() keeps in place."""
+    def _int_limits(self, emax: int, L: int, K: int, q: int) -> Optional[tuple]:
+        """(T, H, S0, S1, ...) for integer mode on inputs m_i * 2^q at
+        (emax, L, K): with E = N * 2^e_root(q), |N| > T is |E| > 2B; |m_i| < H
+        is |x_i| < 2^emax; S_j is the shift of a join's operand.  None unless
+        the range-safe record admits q.  Cached in _limits, which
+        _limits.clear() keeps in place."""
         limits = None
         if q <= emax:
             safe = self._safe.get((emax, L, K), False)
             if safe is False:
                 safe = self._range_safe(emax, L, K)
             if safe and safe[0] <= q:
-                s = self._degree * q
-                limits = (safe[1] << max(-s, 0)) // (safe[2] << max(s, 0)), 1 << (emax - q)
-        if len(self._safe) >= _CACHE_LIMIT:
-            self._safe.clear()
-        self._safe[(emax, L, K, q)] = limits
+                s = _exponent(self._root, q) or 0  # a block without parts is zero: N = 0 never passes T
+                limits = ((safe[1] << max(-s, 0)) // (safe[2] << max(s, 0)), 1 << (emax - q),
+                          *(_exponent(a, q) - _exponent(b, q) if a else 0 for a, b in self._shifts))
+        if len(self._limits) >= _CACHE_LIMIT:
+            self._limits.clear()
+        self._limits[(emax, L, K, q)] = limits
         return limits
 
     def _static_bound(self, emax: int, L: int) -> tuple[int, int]:
@@ -592,7 +586,7 @@ class _Block:
         ind <= 2^(L-1), so 2 * sup <= 2^(2^(K-1)) at each node, the fold's
         top.  No inexact underflow: each node's value quantum is at least
         e_min - L (value_quantum's rule); rounding keeps a quantum.  And every
-        constant rounds into F_{L,K}."""
+        constant rounds into F_{L,K}.  Then |fl(E) - E| <= B."""
         ind, (num, den), top, quanta = self._fold(emax, L)
         target = 1 - (1 << (K - 1)) - L
         record = None
@@ -605,21 +599,10 @@ class _Block:
         self._safe[(emax, L, K)] = record
         return record
 
-    def verdict(self, xs: list, L: int, K: int, emax: int, q: Optional[int] = None) -> "GuardVerdict":
-        if q is not None:
-            return self.int_verdict(xs, L, K, emax, q)
-        # the exact stage: |E| > 2B settles the sign as the rounded block would
-        safe = self._safe.get((emax, L, K), False) if self._exact else None
-        if safe is False:
-            safe = self._range_safe(emax, L, K)
-        exact = safe and self._exact(xs, safe[0], emax)
-        if exact:
-            (M, q), (_, num, den) = exact, safe
-            a = M if M > 0 else -M
-            if (a * den << q > num) if q >= 0 else (a * den > num << -q):
-                return _POSITIVE if M > 0 else _NEGATIVE
+    def _rounded(self, xs: Sequence[int], L: int, K: int, emax: int, q: int) -> "GuardVerdict":
+        """The verdict of the rounded block on inputs m_i * 2^q."""
         try:
-            M, q, D, E, R, ind = self._run(xs, L, K, self._fixed or self._table(L, K))
+            M, q, D, E, R, ind = self._run(xs, q, L, K, self._fixed or self._table(L, K))
         except RangeError as exc:
             return RangeErrorVerdict(exc.source_op)
         if not M:
@@ -634,8 +617,8 @@ class _Block:
             return _POSITIVE if M > 0 else _NEGATIVE
         return _FAILED
 
-    def evaluate(self, xs: list, L: int, K: int) -> tuple[Fraction, Fraction]:
-        M, q, D, E, R, ind = self._run(xs, L, K, self._fixed or self._table(L, K))
+    def evaluate(self, xs: Sequence[int], q: int, L: int, K: int) -> tuple[Fraction, Fraction]:
+        M, q, D, E, R, ind = self._run(xs, q, L, K, self._fixed or self._table(L, K))
         value = _magnitude(M, q) if M >= 0 else -_magnitude(M, q)
         return value, _magnitude(ind * D, E - L) / R
 
@@ -643,42 +626,56 @@ class _Block:
 # --- guards over whole expressions -----------------------------------------------
 
 
-def _input_pair(v: Union[SoftFloat, Exact], L: int, K: int) -> tuple[int, int]:
-    """An input as a pair (M, q) of value M * 2^q; it must lie in F_{L,K}."""
-    if isinstance(v, SoftFloat):
-        v = v.to_fraction()  # a member of another F_{L',K'}: taken by value
-    pair = member_pair(v, L, K)
-    if pair is None:
-        raise InadmissibleInput(f"input {v} is not exactly representable in F_{{{L},{K}}}")
-    return pair
-
-
 def _input_pairs(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> list[tuple[int, int]]:
-    """The inputs as pairs; members of F_{L,K} as SoftFloats take the fast path."""
+    """The inputs as pairs (M, q) of value M * 2^q; each must lie in F_{L,K}.
+    Members of F_{L,K} as SoftFloats take the fast path; any other input,
+    a member of another F_{L',K'} too, is taken by value."""
     if L < 1 or K < 2:
         raise InadmissibleInput("need L >= 1 and K >= 2")
-    return [
+    pairs = [
         ((v.sign * v.significand, v.exponent - L) if v.significand else (0, 0))
-        if v.__class__ is SoftFloat and v.prec == L and v.expbits == K else _input_pair(v, L, K)
+        if v.__class__ is SoftFloat and v.prec == L and v.expbits == K
+        else member_pair(v.to_fraction() if isinstance(v, SoftFloat) else v, L, K)
         for v in x
     ]
+    if None in pairs:
+        v = x[pairs.index(None)]
+        v = v.to_fraction() if isinstance(v, SoftFloat) else v
+        raise InadmissibleInput(f"input {v} is not exactly representable in F_{{{L},{K}}}")
+    return pairs
+
+
+def _on_one_exponent(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> tuple[list[int], int]:
+    """The inputs, which must lie in F_{L,K}, as integers m_i on one exponent
+    q, x_i = m_i * 2^q: q is the least exponent of any input's lowest set bit
+    (0 when every input is zero), so every input is a multiple of 2^q'
+    exactly when q' <= q."""
+    pairs = _input_pairs(x, L, K)
+    q = None
+    for M, p in pairs:  # a plain loop: cheaper than min() over a generator
+        if M:
+            p += (M & -M).bit_length()
+            if q is None or p < q:
+                q = p
+    q = 0 if q is None else q - 1
+    return [M << (p - q) if p >= q else M >> (q - p) for M, p in pairs], q
 
 
 class CompiledGuard:
     """The guard of one expression, built once.
 
     Each maximal arithmetic block (the subtrees below every Min/Max/Abs/Div
-    that sits above all arithmetic) becomes one straight-line integer
-    function; Min/Max/Abs/Div above the blocks combine the children's
-    verdicts.  Calling the guard with inputs (SoftFloat members of F_{L,K}
-    or exact values in it), L, K and emax gives guarded_eval's verdict.
+    that sits above all arithmetic) becomes straight-line integer functions;
+    Min/Max/Abs/Div above the blocks combine the children's verdicts.
+    Calling the guard with inputs (SoftFloat members of F_{L,K} or exact
+    values in it), L, K and emax gives guarded_eval's verdict.
     """
 
     def __init__(self, e: Expr):
         self.expr = e
         self.blocks: list[_Block] = []
         self._whole: Optional[_Block] = None  # e as one block, for evaluate()
-        self._verdict = self._compile(e)
+        self._tree = self._compile(e)
 
     def _compile(self, n: Expr):
         if isinstance(n, (Min, Max, Div)):
@@ -688,7 +685,7 @@ class CompiledGuard:
             else:
                 combine = min if isinstance(n, Min) else max
 
-            def composite(xs, L, K, emax, q=None):
+            def composite(xs, L, K, emax, q):
                 a = left(xs, L, K, emax, q)
                 if isinstance(a, RangeErrorVerdict):
                     return a
@@ -703,7 +700,7 @@ class CompiledGuard:
         if isinstance(n, Abs):
             inner = self._compile(n.operand)
 
-            def absolute(xs, L, K, emax, q=None):
+            def absolute(xs, L, K, emax, q):
                 v = inner(xs, L, K, emax, q)
                 return _POSITIVE if isinstance(v, SignCertified) else v
 
@@ -712,19 +709,19 @@ class CompiledGuard:
         self.blocks.append(block)
         if n is self.expr:
             self._whole = block
-        return block.verdict
+        return lambda xs, L, K, emax, q: block.verdict(xs, L, K, emax, q)  # the written function, once written
 
     def __call__(self, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> GuardVerdict:
-        return self._verdict(_input_pairs(x, L, K), L, K, emax)
+        ms, q = _on_one_exponent(x, L, K)
+        return self.verdict(ms, L, K, emax, q)
 
-    def int_verdict(self, xs: Sequence[int], L: int, K: int, emax: int, q: int) -> GuardVerdict:
-        """guarded_eval's integer mode.  After its first call, a guard that is
-        one block calls the block's integer mode directly; any other hands q
-        down its verdict tree."""
+    def verdict(self, xs: Sequence[int], L: int, K: int, emax: int, q: int) -> GuardVerdict:
+        """The verdict on inputs m_i * 2^q given as the integers m_i.  After
+        its first call, a guard that is one block calls the block's written
+        verdict directly; any other runs its verdict tree."""
+        verdict = self._tree(xs, L, K, emax, q)  # writes the blocks' code
         block = self.blocks[0]
-        entry = self._verdict if block.node is not self.expr else None
-        verdict = (entry or block.int_verdict)(xs, L, K, emax, q)  # writes the block's function
-        self.int_verdict = entry or block.int_verdict
+        self.verdict = block.verdict if block.node is self.expr else self._tree
         return verdict
 
     def evaluate(self, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> tuple[Fraction, Fraction]:
@@ -732,7 +729,7 @@ class CompiledGuard:
         one arithmetic block in F_{L,K}; RangeError propagates."""
         if self._whole is None:
             self._whole = _Block(self.expr)
-        return self._whole.evaluate(_input_pairs(x, L, K), L, K)
+        return self._whole.evaluate(*_on_one_exponent(x, L, K), L, K)
 
 
 def compile_guard(e: Expr) -> CompiledGuard:
@@ -762,21 +759,14 @@ def guarded_eval(
     grows K.  Inputs are SoftFloats or exact values, and must lie in F_{L,K}:
     any other input, whether too large, too small or not dyadic, raises
     InadmissibleInput.  With ``q``, x holds integers m_i instead, of the
-    inputs m_i * 2^q, which must be such members and are taken unchecked:
-    integer mode, whose sign test is one compare on a homogeneous block.
+    inputs m_i * 2^q, which must be such members and are taken unchecked;
+    without it the guard checks the inputs and puts them on one exponent.
     """
     try:
         guard = e._guard
     except AttributeError:
         guard = _guard_of(e)
-    return guard(x, L, K, emax) if q is None else guard.int_verdict(x, L, K, emax, q)
-
-
-def dynamic_bound(e: Expr, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> Fraction:
-    """Input-dependent error bound; never exceeds the static bound."""
-    guard = _guard_of(e)
-    _, raw = guard.evaluate(x, L, K)
-    return min(raw, Fraction(*guard._whole._static_bound(emax, L)))
+    return guard(x, L, K, emax) if q is None else guard.verdict(x, L, K, emax, q)
 
 
 # --- closed-form fp-safety bounds -------------------------------------------
@@ -800,16 +790,6 @@ def safety_lower_multivariate(d: int, n_terms: int, maxcoeff: Exact, emax: int, 
         raise ValueError("need at least one term")
     log_term = ceil_log2(n_terms) if n_terms > 1 else 0
     return (d + 1 + log_term) * n_terms * abs(Fraction(maxcoeff)) * Fraction(2) ** (emax * d + 1 - L)
-
-
-def safety_upper(K: int, s_inf_at_L: Exact) -> Fraction:
-    """S_sup(K) = 2^(2^(K-1)) - S_inf(L): below it, evaluations stay in range."""
-    if K > 16:
-        raise ValueError("use the log-domain comparison for large K")
-    s = Fraction(s_inf_at_L)
-    if s < 0:
-        raise ValueError("S_inf must be nonnegative")
-    return Fraction(2) ** (1 << (K - 1)) - s
 
 
 def value_quantum(e: Expr, emax: int, L: int) -> int:

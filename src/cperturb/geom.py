@@ -28,7 +28,7 @@ from .bounds import (
     bounds_univariate,
     choose_beta,
 )
-from .errorbounds import RangeErrorVerdict, SignCertified, _input_pairs, guarded_eval
+from .errorbounds import RangeErrorVerdict, SignCertified, _on_one_exponent, guarded_eval
 from .expr import (
     Add, Div, Expr, Input, Max, Mul, NotPolynomial, Sub, expand_polynomial, polynomial_expr,
 )
@@ -296,9 +296,7 @@ def guarded_convex_hull(
     """
     if len(points) < 3:
         return ("guard_failure", None)
-    flat = _input_pairs([c for pt in points for c in pt], L, K)
-    q0 = min((q + (M & -M).bit_length() - 1 for M, q in flat if M), default=0)
-    scaled = [(M << (q - q0) if q >= q0 else M >> (q0 - q)) if M else 0 for M, q in flat]
+    scaled, q0 = _on_one_exponent([c for pt in points for c in pt], L, K)
     pts = list(zip(scaled[0::2], scaled[1::2]))
     dedup: list[int] = []
     for i in sorted(range(len(pts)), key=pts.__getitem__):

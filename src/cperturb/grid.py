@@ -76,13 +76,15 @@ class SplitMix64:
         """Uniform integer in [0, n) by rejection from 2^ceil(log2 n).
 
         A word is taken whole when n needs more than 32 bits, else in
-        chunks of ceil(log2 n) bits from its low end."""
+        chunks of ceil(log2 n) bits from its low end; past 64 bits a try
+        takes ceil(log2 n / 64) whole words, the low word first."""
         if n <= 1:
             if n == 1:
                 return 0
             raise ValueError("need n >= 1")
         bits = (n - 1).bit_length()
         mask = (1 << bits) - 1
+        v = shift = 0
         while True:
             c = self.counter
             self.counter = c + 1
@@ -99,6 +101,15 @@ class SplitMix64:
                 if read:
                     self._base, self._words = c, read(word)
                     word = self._words[0]
+            if bits > 64:
+                v |= word << shift
+                shift += 64
+                if shift >= bits:
+                    v &= mask
+                    if v < n:
+                        return v
+                    v = shift = 0
+                continue
             v, end = word & mask, bits
             while v >= n:  # on to the word's next chunk, if it has one
                 end += bits

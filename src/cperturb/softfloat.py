@@ -144,7 +144,8 @@ def member_pair(x: Exact, L: int, K: int) -> Optional[tuple[int, int]]:
     z = (n & -n).bit_length() - 1
     M, q = n >> z, z + 1 - d.bit_length()
     top = q + (M if M > 0 else -M).bit_length() - 1
-    if top > exponent_max(K) or q < max(top, exponent_min(K)) - L:
+    e = 1 << (K - 1)  # exponent_max(K); exponent_min(K) is 1 - e
+    if top > e or q < (top if top > 1 - e else 1 - e) - L:
         return None
     return M, q
 

@@ -49,6 +49,11 @@ def uniform_int(rng: SplitMix64, n: int) -> int:
     bits = (n - 1).bit_length()
     mask = (1 << bits) - 1
     while True:
+        if bits > 64:  # ceil(bits / 64) whole words, the low word first
+            v = sum(next_u64(rng) << (64 * j) for j in range(-(-bits // 64))) & mask
+            if v < n:
+                return v
+            continue
         word = next_u64(rng)
         for _ in range(64 // bits if bits <= 32 else 1):
             v = word & mask

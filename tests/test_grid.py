@@ -383,6 +383,15 @@ class TestRng:
         a.counter = top - 1
         assert [a.uniform_int(1 << 64) for _ in range(3)] == [ref._mix64(5 + i * ref._GAMMA) for i in range(3)]
 
+    def test_wide_span_reaches_its_top_bits(self):
+        # n = 2^70 takes two whole words per try and never rejects: the draws
+        # reach bit length 70, and about a quarter land in [3 * 2^68, 2^70)
+        rng = SplitMix64(2024)
+        draws = [rng.uniform_int(1 << 70) for _ in range(2000)]
+        assert rng.counter == 4000
+        assert max(draws).bit_length() == 70
+        assert 400 <= sum(d >= 3 << 68 for d in draws) <= 600  # 500 +- 5 sigma
+
     def test_uniform_int_range(self):
         rng = SplitMix64(3)
         for n in (1, 2, 3, 5, 17, 1000):

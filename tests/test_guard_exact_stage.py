@@ -1,11 +1,12 @@
 """The exact stage of compiled guard blocks never changes a verdict.
 
-A dyadic block first evaluates its expression exactly; when no range error
-can occur at (emax, L, K) and |E| exceeds twice the static bound B, it
-certifies sign E and skips the rounded block.  These tests compare every
-verdict with the tree-walking reference, and check at the stage's
-boundaries (|E| = 2B, the overflow margin, the input quantum, constants
-that leave F_{L,K}, non-dyadic constants) which stage decided.
+A dyadic block first evaluates its expression exactly, in integer mode on
+its inputs' one exponent; when no range error can occur at (emax, L, K) and
+|E| exceeds twice the static bound B, it certifies sign E and skips the
+rounded block.  These tests compare every verdict with the tree-walking
+reference, and check at the stage's boundaries (|E| = 2B, the overflow
+margin, the input quantum, constants that leave F_{L,K}, non-dyadic
+constants) whether the rounded block ran.
 """
 
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from cperturb.errorbounds import (
     _Block,
     _guard_of,
     _input_pairs,
+    _on_one_exponent,
     guarded_eval,
 )
 from cperturb.expr import Abs, Add, Const, Input, Max, Min, Mul, Sub
@@ -156,68 +158,49 @@ def test_threshold_is_twice_the_static_bound(rounded_runs, offset, rounded):
     assert verdict == SignCertified(1) and ran == rounded
 
 
-@pytest.fixture
-def stage_calls(monkeypatch):
-    """Records every call of a block's exact stage and rounded function."""
-    calls = []
-    init = _Block.__init__
-
-    def recording_init(self, node):
-        init(self, node)
-        for name in ("_exact", "_run"):
-            fn = getattr(self, name)
-            if fn is not None:
-                setattr(self, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
-
-    monkeypatch.setattr(_Block, "__init__", recording_init)
-    return calls
-
-
 def integer_mode(e, ms, L, K, emax, q, calls):
     """The integer-mode verdict on x_i = ms[i] * 2^q, checked against the
-    reference, and what decided it: integer mode, the exact stage or the
-    rounded block."""
+    reference, and what decided it: integer mode or the rounded block."""
     calls.clear()
     verdict = guarded_eval(e, ms, L, K, emax, q)
     assert verdict == reference_guarded_eval(e, [F(m) * F(2) ** q for m in ms], L, K, emax)
-    return verdict, "rounded" if "_run" in calls else "exact" if calls else "integer"
+    return verdict, "rounded" if calls else "integer"
 
 
-def test_integer_mode_decides_clear_signs(stage_calls):
+def test_integer_mode_decides_clear_signs(rounded_runs):
     # orientation at (24, 8, 0) on the grid unit 2^-25: 2B = 2^-18, that is
     # T = 2^32 at q = -25; r = (0, b) gives N = 2^16 * b
     L, K, emax, q = 24, 8, 0, -25
     e = orientation2d_expr()
-    assert integer_mode(e, [0, 0, 1 << 16, 0, 0, 1 << 24], L, K, emax, q, stage_calls) == (
+    assert integer_mode(e, [0, 0, 1 << 16, 0, 0, 1 << 24], L, K, emax, q, rounded_runs) == (
         SignCertified(1), "integer")
-    assert integer_mode(e, [0, 0, 1 << 16, 0, 0, -(1 << 24)], L, K, emax, q, stage_calls) == (
+    assert integer_mode(e, [0, 0, 1 << 16, 0, 0, -(1 << 24)], L, K, emax, q, rounded_runs) == (
         SignCertified(-1), "integer")
     # |N| above T, at T and below: at and below, the rounded block decides
     for b, stage in (((1 << 16) + 1, "integer"), (1 << 16, "rounded"), ((1 << 16) - 1, "rounded")):
-        assert integer_mode(e, [0, 0, 1 << 16, 0, 0, b], L, K, emax, q, stage_calls) == (
+        assert integer_mode(e, [0, 0, 1 << 16, 0, 0, b], L, K, emax, q, rounded_runs) == (
             SignCertified(1), stage)
-    # an input at 2^emax = 2^25 * 2^q: the verdict on pairs, whose exact
-    # stage declines it too
+    # an input at 2^emax = 2^25 * 2^q: the rounded block
     edge = [0, 0, 1 << 25, 0, 0, 1 << 24]
-    assert integer_mode(e, edge, L, K, emax, q, stage_calls) == (SignCertified(1), "rounded")
+    assert integer_mode(e, edge, L, K, emax, q, rounded_runs) == (SignCertified(1), "rounded")
     # q = 1 above emax = 0: every nonzero input is at least 2 > 2^emax
-    assert integer_mode(e, [0, 0, 1, 0, 0, 1], L, K, emax, 1, stage_calls) == (SignCertified(1), "rounded")
-    # q = -125 below the safe quantum -75: the verdict on pairs, whose exact
-    # stage takes these inputs, multiples of 2^-25
+    assert integer_mode(e, [0, 0, 1, 0, 0, 1], L, K, emax, 1, rounded_runs) == (SignCertified(1), "rounded")
+    # q = -125 below the safe quantum -75: the guard takes q as given, so the
+    # rounded block decides, though the inputs are multiples of 2^-25
     fine = [0, 0, 1 << 116, 0, 0, 1 << 124]
-    assert integer_mode(e, fine, L, K, emax, q - 100, stage_calls) == (SignCertified(1), "exact")
+    assert integer_mode(e, fine, L, K, emax, q - 100, rounded_runs) == (SignCertified(1), "rounded")
     # a block with a constant, and ones joining degrees 2 and 1 (E = 1/4 +- 1/2,
-    # N = 2^48 +- 2^24): the verdict on pairs
+    # N = 2^48 +- 2^24): integer mode, each join shifting its operands
     for e, x2, sign in ((Add(Input(0), Const(F(1, 2))), 0, 1),
                         (Add(Mul(Input(0), Input(1)), Input(2)), 1 << 24, 1),
                         (Add(Mul(Input(0), Input(1)), Input(2)), -(1 << 24), -1)):
-        assert integer_mode(e, [1 << 24, 1 << 24, x2], L, K, emax, q, stage_calls) == (
-            SignCertified(sign), "exact")
+        assert integer_mode(e, [1 << 24, 1 << 24, x2], L, K, emax, q, rounded_runs) == (
+            SignCertified(sign), "integer")
     # F_{8,4} at emax = 2, safe quantum 2^-7: x0 * x1 = 9 * 2^-18 underflows
     # inexactly, though E = x0 * x1 - 1 is far from zero; q = -9 is below
     # the safe quantum, so integer mode must not decide it
     e = Sub(Mul(Input(0), Input(1)), Mul(Input(2), Input(3)))
-    verdict, stage = integer_mode(e, [3, 3, 512, 512], 8, 4, 2, -9, stage_calls)
+    verdict, stage = integer_mode(e, [3, 3, 512, 512], 8, 4, 2, -9, rounded_runs)
     assert isinstance(verdict, RangeErrorVerdict) and stage == "rounded"
 
 
@@ -266,7 +249,6 @@ def test_constant_rounded_at_L_is_exact_in_the_stage(rounded_runs):
 
 def test_non_dyadic_block_keeps_the_rounded_path(rounded_runs):
     e = Sub(Input(0), Const(F(1, 3)))
-    assert _guard_of(e)._whole._exact is None
     for x, sign in ((F(3, 2), 1), (F(-3, 2), -1)):
         assert verdict_and_stage(e, [x], 24, 8, 1, rounded_runs) == (SignCertified(sign), True)
 
@@ -281,7 +263,6 @@ def test_blocks_below_min_max_abs_each_take_the_stage(rounded_runs):
     assert rounded_runs == [Const(F(1, 3))]
 
 
-
 @pytest.mark.parametrize("e, fine", [
     (Add(Mul(Input(0), Input(0)), Input(1)), (SignCertified(1), False)),
     (Add(Input(1), Mul(Input(0), Input(0))), (SignCertified(1), False)),
@@ -290,7 +271,7 @@ def test_blocks_below_min_max_abs_each_take_the_stage(rounded_runs):
 ], ids=["x0_twice", "x0_read_after_x1", "both_twice"])
 def test_input_read_twice_is_checked_at_its_one_load(rounded_runs, e, fine):
     # the stage loads and checks each input index once, and later reads of it
-    # reuse that pair; F_{8,4} at emax = 2 as in test_input_quantum_underflow,
+    # reuse that integer; F_{8,4} at emax = 2 as in test_input_quantum_underflow,
     # where the stage's quantum is 2^-7
     L, K, emax = 8, 4, 2
     y = F(3, 1 << 7)
@@ -299,8 +280,11 @@ def test_input_read_twice_is_checked_at_its_one_load(rounded_runs, e, fine):
     bad_inputs = ([y / 2, 2], [F(5), 2], [F(-4), 2], [2, y / 2], [2, F(5)])
     for bad in bad_inputs:
         assert verdict_and_stage(e, bad, L, K, emax, rounded_runs)[1]
-    block = _guard_of(e)._whole
-    Q = block._range_safe(emax, L, K)[0]
-    assert block._exact(_input_pairs([y, 2], L, K), Q, emax) is not None
+    # the same inputs on their one exponent, given to integer mode directly
+    Q = _guard_of(e)._whole._range_safe(emax, L, K)[0]
+    ms, q = _on_one_exponent([y, 2], L, K)
+    assert q == Q and integer_mode(e, ms, L, K, emax, q, rounded_runs) == (
+        fine[0], "rounded" if fine[1] else "integer")
     for bad in bad_inputs:
-        assert block._exact(_input_pairs(bad, L, K), Q, emax) is None
+        ms, q = _on_one_exponent(bad, L, K)
+        assert integer_mode(e, ms, L, K, emax, q, rounded_runs)[1] == "rounded"
