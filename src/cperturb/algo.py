@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import ceil, lcm
 from typing import Callable, Optional, Sequence, Union
 
@@ -169,41 +168,43 @@ class CpRunStats:
         )
 
 
-def _area_constants(centers: Sequence[tuple[int, int]], shape: PerturbationShape,
-                    delta: Fraction) -> tuple:
-    """What every draw about the (numerator, denominator) centres needs at
-    any grid, computed once per run and delta: each coordinate's range ends
-    c -+ delta as integers over one denominator, and for discs and balls
-    (cpo, S0s, scaled, radii2): per object the lcm S0 of its denominators
-    and (S0 * delta)^2, per coordinate its centre times its object's S0."""
-    dn, dd = delta.numerator, delta.denominator
-    ends = [(cn * dd - dn * cd, cd * dd, cn * dd + dn * cd, cd * dd) for cn, cd in centers]
-    if shape.kind == "box":
-        return ends, None
-    cpo = shape.coords_per_object
-    dens = [cd for _, cd in centers]
-    S0s = list(map(lcm, repeat(dd), *(dens[j::cpo] for j in range(cpo))))
-    S0_of = [S0 for S0 in S0s for _ in range(cpo)]  # per coordinate, its object's S0
-    scaled = [cn * (S0 // cd) for (cn, cd), S0 in zip(centers, S0_of)]
-    return ends, (cpo, S0s, scaled, [(dn * (S0 // dd)) ** 2 for S0 in S0s])
+def _ranges(Cs: Sequence[int], D: int, W: int, t: int) -> list[tuple[int, int]]:
+    """(lo, span) of the grid indices in [(C - W)/D, (C + W)/D] at tau = 2^-t for
+    each C, up to and including the first empty range.  With D = 2^s and t >= s
+    both ends are indices, and one span serves every coordinate.  No clipping:
+    emax covers every |C| + W."""
+    s = D.bit_length() - 1
+    if D == 1 << s and t >= s:
+        k = t - s
+        span = (W << k + 1) + 1
+        return [((C - W) << k, span) for C in Cs]
+    num, den = (1 << t, D) if t >= 0 else (1, D << -t)
+    out = []
+    for C in Cs:
+        lo = -((W - C) * num // den)
+        span = (C + W) * num // den - lo + 1
+        out.append((lo, span))
+        if span <= 0:
+            break
+    return out
 
 
-def _input_drawer(area: tuple, spec: GridSpec,
+def _input_drawer(Cs: Sequence[int], D: int, W: int, cpo: int, spec: GridSpec,
                   rng: SplitMix64) -> Callable[[], Optional[tuple[SoftFloat, ...]]]:
-    """Draws of one uniform grid point of the perturbation area (as
-    _area_constants gives it): a box draws the whole input in one call, a
-    disc or ball is one ball of GridSampler.draw_balls, its in-shape test on
-    integers, every length times S = S0 * 2^max(t, 0) with tau = 2^-t.
-    None on an empty index range or after 4096 failed tries of one object."""
-    ends, balls = area
-    sampler = GridSampler(spec, ends, rng)
-    if balls:
-        t = spec.L + 1 - spec.emax
-        up, down = max(t, 0), max(-t, 0)
-        cpo, S0s, scaled, radii2 = balls
-        centres = zip(*[iter([sc << up for sc in scaled])] * cpo)
-        # per object: S * tau, S * centre, (S * delta)^2
-        balls = list(zip([S0 << down for S0 in S0s], centres, [r2 << 2 * up for r2 in radii2]))
+    """Draws of one uniform grid point of the perturbation area about the
+    centres C_i/D with half-width or radius W/D: a box (cpo = 1) draws the
+    whole input in one call, a disc or ball (cpo = 2, 3) is one ball of
+    GridSampler.draw_balls, its in-shape test on integers, every length times
+    D * 2^max(t, 0) with tau = 2^-t.  None on an empty index range or after
+    4096 failed tries of one object."""
+    t = spec.L + 1 - spec.emax
+    sampler = GridSampler(spec, _ranges(Cs, D, W, t), rng)
+    balls = None
+    if cpo > 1:
+        up = max(t, 0)
+        # every object: D * tau, D * 2^up * centre, (W * 2^up)^2
+        unit, bound = D << max(-t, 0), W * W << 2 * up
+        balls = [(unit, c, bound) for c in zip(*[iter([C << up for C in Cs])] * cpo)]
 
     def draw():
         try:
@@ -305,14 +306,17 @@ def run_acp_delta_variant(
 def _acp_loop(
     guarded, ybar, shape, seed, L0, K0, max_rounds, eta_runs, grow, delta_schedule=None
 ):
-    # each centre read once per run, as its (numerator, denominator) pair
-    centers = [(c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio() for c in ybar]
-    if len(centers) % shape.coords_per_object:
+    # each centre read once per run and put, with every delta, on one denominator D
+    ratios = [(c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio() for c in ybar]
+    cpo = shape.coords_per_object
+    if not ratios or len(ratios) % cpo:
         raise ValueError("input length does not match the shape's grouping")
     deltas = delta_schedule or (shape.delta,) * eta_runs
     delta_max = delta_schedule[-1] if delta_schedule else shape.delta
-    emax = compute_emax(centers, [delta_max.as_integer_ratio()] * len(centers))
-    areas = {d: _area_constants(centers, shape, d) for d in set(deltas)}  # once per delta
+    D = lcm(*{d for _, d in ratios}, *{d.denominator for d in (delta_max, *deltas)})
+    Cs = [n * (D // d) for n, d in ratios]
+    Ws = {d: d.numerator * (D // d.denominator) for d in (delta_max, *deltas)}
+    emax = compute_emax([(max(max(Cs), -min(Cs)) + Ws[delta_max], D)], [(0, 1)])
     rng = SplitMix64(seed)
     stats = CpRunStats(seed=seed)
     L, K = L0, K0
@@ -333,7 +337,7 @@ def _acp_loop(
             if delta_schedule:
                 stats.delta_sequence.append(delta)
             if draw is None or delta_schedule:  # once per (spec, delta)
-                draw = _input_drawer(areas[delta], spec, rng)
+                draw = _input_drawer(Cs, D, Ws[delta], cpo, spec, rng)
             y = draw()
             if y is None:
                 round_kind = "guard_failure"  # grid too coarse: more bits help

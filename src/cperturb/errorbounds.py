@@ -29,16 +29,16 @@ its range-safe record and its value quantum.  A guard takes its inputs as
 integers m_i on one exponent q, x_i = m_i * 2^q, as the hull holds its points
 (_on_one_exponent puts checked inputs there), and each block first runs its
 integer mode: with only dyadic constants, E = N * 2^e(q) for an integer N,
-e(q) the least d * q + c over the block's quantum parts.  Given the range-safe
-record at (emax, L, K), q at or above its Q_safe and every |m_i| below
-H = 2^(emax - q), |fl(E) - E| <= B, the static bound, so |N| > T =
-floor(2B / 2^e(q)) means the rounded block would certify sign N, and the
-integer mode returns it.  Every other case, and every block holding a
-non-dyadic constant, runs the rounded block: straight-line Python on signed
-integer significand/exponent pairs, rounding every operation exactly as
-softfloat does.  Its dynamic sup (the sup recursion seeded with the actual
-input magnitudes) is an exact dyadic integer pair, or an exact Fraction with a
-non-dyadic constant, so the certify test |v| > min(ind * dynsup * 2^-L,
+e(q) the least d * q + c over the block's quantum parts.  Every input is
+checked once per call to lie in [-2^emax, 2^emax]; given that, the range-safe
+record at (emax, L, K) and q at or above its Q_safe, |fl(E) - E| <= B, the
+static bound, so |N| > T = floor(2B / 2^e(q)) means the rounded block would
+certify sign N, and the integer mode returns it.  Every other case, and every
+block holding a non-dyadic constant, runs the rounded block: straight-line
+Python on signed integer significand/exponent pairs, rounding every operation
+exactly as softfloat does.  Its dynamic sup (the sup recursion seeded with the
+actual input magnitudes) is an exact dyadic integer pair, or an exact Fraction
+with a non-dyadic constant, so the certify test |v| > min(ind * dynsup * 2^-L,
 static) is an integer shift-compare.
 """
 
@@ -237,9 +237,9 @@ _VALUE = {
 """,
 }
 
-# Integer mode: the block on inputs m_i * 2^q computes N, with
-# E = N * 2^e_root(q), and certifies sign N when |N| > T; it runs the rounded
-# block without limits (T, H), for an input not below 2^emax = H * 2^q and for
+# Integer mode: the block on inputs m_i * 2^q, all admitted (|m_i| * 2^q <=
+# 2^emax), computes N, with E = N * 2^e_root(q), and certifies sign N when
+# |N| > T; it runs the rounded block without limits (T, S0, S1, ...) and for
 # |N| <= T.  S0, S1, ... shift the operands of a join onto its exponent.
 _INT_HEAD = """\
 def verdict(xs, L, K, emax, q):
@@ -248,7 +248,7 @@ def verdict(xs, L, K, emax, q):
         limits = int_limits(emax, L, K, q)
     if not limits:
         return fall(xs, L, K, emax, q)
-    T, H{shifts} = limits
+    T,{shifts} = limits
 """
 _INT_TAIL = """\
     if M{i} > T or M{i} < -T:
@@ -256,7 +256,7 @@ _INT_TAIL = """\
     return fall(xs, L, K, emax, q)
 """
 _INTS = {
-    Input: "    M{i} = xs[{k}]\n    if abs(M{i}) >= H:\n        return fall(xs, L, K, emax, q)\n",
+    Input: "    M{i} = xs[{k}]\n",
     Const: "    M{i} = {k}\n",
     **{kind: f"    M{{i}} = {{a}} {op} {{b}}\n" for kind, op in zip(_OP_INDEX, _OP_NAMES)},
     Abs: "    M{i} = abs({a})\n",
@@ -454,7 +454,7 @@ class _Block:
                     self._shifts.append((tuple(parts[j].items()), tuple(parts[i].items())))
                 ops = "a", "b"
             lines.append(_INTS[kind].format(i=i, k=k, a=ops[0], b=ops[1]))
-        head = _INT_HEAD.format(shifts="".join(f", S{j}" for j in range(len(self._shifts))))
+        head = _INT_HEAD.format(shifts="".join(f" S{j}," for j in range(len(self._shifts))))
         return [head, *lines, _INT_TAIL.format(i=len(self._plan) - 1)]
 
     def _fold(self, emax: int, L: int) -> tuple:
@@ -555,20 +555,18 @@ class _Block:
         return self.verdict(xs, L, K, emax, q)
 
     def _int_limits(self, emax: int, L: int, K: int, q: int) -> Optional[tuple]:
-        """(T, H, S0, S1, ...) for integer mode on inputs m_i * 2^q at
-        (emax, L, K): with E = N * 2^e_root(q), |N| > T is |E| > 2B; |m_i| < H
-        is |x_i| < 2^emax; S_j is the shift of a join's operand.  None unless
-        the range-safe record admits q.  Cached in _limits, which
-        _limits.clear() keeps in place."""
+        """(T, S0, S1, ...) for integer mode on inputs m_i * 2^q at (emax, L,
+        K): with E = N * 2^e_root(q), |N| > T is |E| > 2B; S_j is the shift of
+        a join's operand.  None unless the range-safe record admits q.  Cached
+        in _limits, which _limits.clear() keeps in place."""
         limits = None
-        if q <= emax:
-            safe = self._safe.get((emax, L, K), False)
-            if safe is False:
-                safe = self._range_safe(emax, L, K)
-            if safe and safe[0] <= q:
-                s = _exponent(self._root, q) or 0  # a block without parts is zero: N = 0 never passes T
-                limits = ((safe[1] << max(-s, 0)) // (safe[2] << max(s, 0)), 1 << (emax - q),
-                          *(_exponent(a, q) - _exponent(b, q) if a else 0 for a, b in self._shifts))
+        safe = self._safe.get((emax, L, K), False)
+        if safe is False:
+            safe = self._range_safe(emax, L, K)
+        if safe and safe[0] <= q:
+            s = _exponent(self._root, q) or 0  # a block without parts is zero: N = 0 never passes T
+            limits = ((safe[1] << max(-s, 0)) // (safe[2] << max(s, 0)),
+                      *(_exponent(a, q) - _exponent(b, q) if a else 0 for a, b in self._shifts))
         if len(self._limits) >= _CACHE_LIMIT:
             self._limits.clear()
         self._limits[(emax, L, K, q)] = limits
@@ -580,8 +578,10 @@ class _Block:
 
     def _range_safe(self, emax: int, L: int, K: int) -> Optional[tuple[int, int, int]]:
         """(Q_safe, 2B) as (Q_safe, numerator, denominator), B the static bound,
-        when no range error can occur at (emax, L, K) for inputs below 2^emax
-        that are multiples of 2^Q_safe; else None.  No overflow: a rounded node
+        when no range error can occur at (emax, L, K) for inputs of magnitude at
+        most 2^emax that are multiples of 2^Q_safe; else None.  _fold gives
+        every input sup 2^emax, which an input at +-2^emax attains, so the
+        steps below hold up to the box's edge.  No overflow: a rounded node
         is at most sup * (1 + 2^-L)^ind <= sup * e^(1/2) < 2 * sup once
         ind <= 2^(L-1), so 2 * sup <= 2^(2^(K-1)) at each node, the fold's
         top.  No inexact underflow: each node's value quantum is at least
@@ -645,11 +645,13 @@ def _input_pairs(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> list[t
     return pairs
 
 
-def _on_one_exponent(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> tuple[list[int], int]:
-    """The inputs, which must lie in F_{L,K}, as integers m_i on one exponent
-    q, x_i = m_i * 2^q: q is the least exponent of any input's lowest set bit
-    (0 when every input is zero), so every input is a multiple of 2^q'
-    exactly when q' <= q."""
+def _on_one_exponent(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int,
+                     emax: Optional[int] = None) -> tuple[list[int], int]:
+    """The inputs, which must lie in F_{L,K} and, given emax, in the box
+    [-2^emax, 2^emax] that every guard bound assumes (the one range check of
+    a guard call), as integers m_i on one exponent q, x_i = m_i * 2^q: q is
+    the least exponent of any input's lowest set bit (0 when every input is
+    zero), so every input is a multiple of 2^q' exactly when q' <= q."""
     pairs = _input_pairs(x, L, K)
     q = None
     for M, p in pairs:  # a plain loop: cheaper than min() over a generator
@@ -658,7 +660,11 @@ def _on_one_exponent(x: Sequence[Union[SoftFloat, Exact]], L: int, K: int) -> tu
             if q is None or p < q:
                 q = p
     q = 0 if q is None else q - 1
-    return [M << (p - q) if p >= q else M >> (q - p) for M, p in pairs], q
+    ms = [M << (p - q) if p >= q else M >> (q - p) for M, p in pairs]
+    top = max(max(ms, default=0), -min(ms, default=0))  # |m| <= 2^(emax - q): |m| - 1 has that many bits
+    if emax is not None and top and (top - 1).bit_length() + q > emax:
+        raise InadmissibleInput(f"an input of magnitude {_magnitude(top, q)} lies outside [-2^{emax}, 2^{emax}]")
+    return ms, q
 
 
 class CompiledGuard:
@@ -712,7 +718,7 @@ class CompiledGuard:
         return lambda xs, L, K, emax, q: block.verdict(xs, L, K, emax, q)  # the written function, once written
 
     def __call__(self, x: Sequence[Union[SoftFloat, Exact]], L: int, K: int, emax: int) -> GuardVerdict:
-        ms, q = _on_one_exponent(x, L, K)
+        ms, q = _on_one_exponent(x, L, K, emax)
         return self.verdict(ms, L, K, emax, q)
 
     def verdict(self, xs: Sequence[int], L: int, K: int, emax: int, q: int) -> GuardVerdict:
@@ -756,11 +762,13 @@ def guarded_eval(
     The certified sign always equals the exact rational sign; exact zeros can
     never be certified.  Overflow, inexact underflow and division by zero all
     surface as RangeErrorVerdict, the signal on which the perturbation loop
-    grows K.  Inputs are SoftFloats or exact values, and must lie in F_{L,K}:
-    any other input, whether too large, too small or not dyadic, raises
-    InadmissibleInput.  With ``q``, x holds integers m_i instead, of the
-    inputs m_i * 2^q, which must be such members and are taken unchecked;
-    without it the guard checks the inputs and puts them on one exponent.
+    grows K.  Inputs are SoftFloats or exact values, and must lie in F_{L,K}
+    and in the box [-2^emax, 2^emax] the static bounds assume: any other
+    input, too large, too small or not dyadic, raises InadmissibleInput.
+    With ``q``, x holds integers m_i instead, of the inputs m_i * 2^q, taken
+    unchecked: the caller guarantees that they are such members, |m_i| * 2^q
+    <= 2^emax included, as _on_one_exponent checks them; without q the guard
+    checks the inputs and puts them on one exponent.
     """
     try:
         guard = e._guard

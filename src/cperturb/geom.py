@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .bounds import (
     BoundSet,
+    InadmissibleInput,
     NotAnalyzable,
     PredicateDescription,
     bounds_inbox_direct,
@@ -99,6 +100,24 @@ class PredicateInstance:
         return guarded_eval(self.expr, x, L, K, self.desc.emax)
 
 
+def _description(expr: Expr, k: int, centers: Sequence[Exact], deltas: Sequence[Exact], t: Exact,
+                 emax: int | None, fixed: Sequence[Exact] = ()) -> PredicateDescription:
+    """expr's k inputs: the fixed data, then the analysis coordinates, each
+    perturbed about its centre by its delta.  emax is by default the least
+    e' >= 0 with |v| + delta <= 2^e' over the centres and, at the centres'
+    delta, the fixed data; an explicit emax must hold every guard input, each
+    centre +- its delta and each fixed value, or raises InadmissibleInput."""
+    from .grid import compute_emax
+
+    if emax is None:
+        emax = compute_emax([*centers, *fixed], [*deltas, *[deltas[0]] * len(fixed)])
+    elif emax < (need := compute_emax([*centers, *fixed], [*deltas, *[0] * len(fixed)])):
+        raise InadmissibleInput(f"emax = {emax} is below {need}, the least that holds every centre +- delta "
+                                "and fixed value")
+    return PredicateDescription(expr=expr, k=k, delta=tuple(deltas), emax=emax, t=t,
+                                analysis_indices=tuple(range(len(fixed), k)), a_box=tuple((c, c) for c in centers))
+
+
 def make_univariate(
     coeffs: Sequence[Exact],
     center: Exact = 0,
@@ -110,19 +129,7 @@ def make_univariate(
     """Univariate polynomial over one perturbed coordinate."""
     coeffs = tuple(Fraction(c) for c in coeffs)
     expr = polynomial_expr({(i,): c for i, c in enumerate(coeffs)})
-    from .grid import compute_emax
-
-    if emax is None:
-        emax = compute_emax([center], [delta])
-    desc = PredicateDescription(
-        expr=expr,
-        k=1,
-        delta=(Fraction(delta),),
-        emax=emax,
-        analysis_indices=(0,),
-        a_box=((Fraction(center), Fraction(center)),),
-        t=Fraction(t),
-    )
+    desc = _description(expr, 1, [Fraction(center)], [Fraction(delta)], Fraction(t), emax)
     desc, bs = bounds_univariate(coeffs, desc)
     rts = tuple(Fraction(r) for r in roots)
     crit = (lambda x: min(abs(Fraction(x[0]) - r) for r in rts)) if rts else None
@@ -150,21 +157,8 @@ def make_polynomial(
         raise NotAnalyzable(f"not a polynomial expression: {exc}") from exc
     if not any(any(key) for key in terms):
         raise NotAnalyzable("the zero or a constant polynomial has no sign change to analyze")
-    from .grid import compute_emax
-
-    if emax is None:
-        emax = compute_emax(centers, deltas)
-    desc = PredicateDescription(
-        expr=expr,
-        k=k,
-        delta=tuple(deltas),
-        emax=emax,
-        analysis_indices=tuple(range(k)),
-        a_box=tuple((c, c) for c in centers),
-        t=t,
-    )
-    beta = choose_beta(set(terms), k)
-    desc, bs = bounds_multivariate(set(terms), terms, beta, desc)
+    desc = _description(expr, k, centers, deltas, t, emax)
+    desc, bs = bounds_multivariate(set(terms), terms, choose_beta(set(terms), k), desc)
     return PredicateInstance(name, expr, desc, bs, None, fixed={})
 
 
@@ -195,19 +189,7 @@ def make_inbox(
     v = tuple(Fraction(c) for c in v)
     qbar = tuple(Fraction(c) for c in qbar)
     delta = Fraction(delta)
-    from .grid import compute_emax
-
-    if emax is None:
-        emax = compute_emax(list(u) + list(v) + list(qbar), [delta] * 6)
-    desc = PredicateDescription(
-        expr=expr,
-        k=6,
-        delta=(delta, delta),
-        emax=emax,
-        analysis_indices=(4, 5),
-        a_box=tuple((c, c) for c in qbar),
-        t=Fraction(t),
-    )
+    desc = _description(expr, 6, qbar, (delta, delta), Fraction(t), emax, u + v)
     desc, bs = bounds_inbox_direct(desc, (v[0] - u[0], v[1] - u[1]))
 
     def crit(q: Sequence[Fraction]) -> Fraction:
@@ -233,19 +215,7 @@ def make_incircle(
     r = Fraction(r)
     qbar = tuple(Fraction(v) for v in qbar)
     delta = Fraction(delta)
-    from .grid import compute_emax
-
-    if emax is None:
-        emax = compute_emax(list(c) + [r] + list(qbar), [delta] * 5)
-    desc = PredicateDescription(
-        expr=expr,
-        k=5,
-        delta=(delta, delta),
-        emax=emax,
-        analysis_indices=(3, 4),
-        a_box=tuple((v, v) for v in qbar),
-        t=Fraction(t),
-    )
+    desc = _description(expr, 5, qbar, (delta, delta), Fraction(t), emax, (*c, r))
     desc, bs = bounds_incircle_direct(desc, r)
 
     def crit(q: Sequence[Fraction]) -> Fraction:
@@ -288,15 +258,16 @@ def guarded_convex_hull(
 
     Returns ('success', indices) with the CCW hull (first vertex = smallest
     point in xy-order), or the failure kind of the first unguarded test.
-    Every coordinate must lie in F_{L,K}.  Each becomes once an integer on
-    the exponent q0 of the lowest set bit of any coordinate (on a grid,
-    mostly the grid index), with exactly the order and ties of the values:
-    the sort keys, so coincident points merge exactly (the first index
-    kept), and the inputs of every orientation test, in integer mode.
+    Every coordinate must lie in F_{L,K} and in [-2^emax, 2^emax], checked
+    once per call (InadmissibleInput otherwise).  Each becomes once an
+    integer on the exponent q0 of the lowest set bit of any coordinate (on a
+    grid, mostly the grid index), with exactly the order and ties of the
+    values: the sort keys, so coincident points merge exactly (the first
+    index kept), and the inputs of every orientation test, in integer mode.
     """
     if len(points) < 3:
         return ("guard_failure", None)
-    scaled, q0 = _on_one_exponent([c for pt in points for c in pt], L, K)
+    scaled, q0 = _on_one_exponent([c for pt in points for c in pt], L, K, emax)
     pts = list(zip(scaled[0::2], scaled[1::2]))
     dedup: list[int] = []
     for i in sorted(range(len(pts)), key=pts.__getitem__):

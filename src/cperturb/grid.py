@@ -284,16 +284,17 @@ class GridSampler:
     members of F_{L,K}.
     """
 
-    def __init__(self, spec: GridSpec, ends: Iterable[tuple[int, int, int, int]], rng: SplitMix64):
-        """``ends``: per coordinate the interval [an/ad, bn/bd] as (an, ad, bn, bd)."""
+    def __init__(self, spec: GridSpec, ranges: list[tuple[int, int]], rng: SplitMix64):
+        """``ranges``: per coordinate its indices lo..lo+span-1 as (lo, span);
+        they may end at the first empty one, which no draw passes."""
         self.spec = spec
         self.rng = rng
-        self.ranges = spec._indices(ends)  # (lo, span)
+        self.ranges = ranges
 
     @classmethod
     def from_box(cls, box: PerturbationBox, spec: GridSpec, rng: SplitMix64) -> "GridSampler":
         ends = [(*a.as_integer_ratio(), *b.as_integer_ratio()) for a, b in map(box.interval, range(box.dimension))]
-        return cls(spec, ends, rng)
+        return cls(spec, spec._indices(ends), rng)
 
     def draw(self) -> list[int]:
         """One uniform grid index for each coordinate."""

@@ -15,14 +15,22 @@ the disc/ball test done on Fractions instead of scaled integers.  Both return
 exact rationals, or None / EmptyGrid, and consume the stream coordinate by
 coordinate, so tests compare points and `rng.counter` with the GridSampler
 paths.
+
+`acp_loop` is `algo._acp_loop` as it set up its draws per centre: each
+coordinate's range ends over their own denominator, clipped to the grid, and
+for discs and balls per object the lcm of its denominators
+(`area_constants`, `input_drawer`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 from typing import Optional, Sequence
 
-from cperturb.grid import EmptyGrid, GridSpec, PerturbationBox, SplitMix64, grid_floats
+from cperturb.algo import MAX_L, CpRunStats, IterationCapExceeded
+from cperturb.grid import EmptyGrid, GridSampler, GridSpec, PerturbationBox, SplitMix64, compute_emax, grid_floats
 from cperturb.softfloat import SoftFloat
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -121,3 +129,91 @@ def sample_shape_input(
         else:
             return None
     return tuple(out)
+
+
+def area_constants(centers, shape, delta):
+    """What every draw about the (numerator, denominator) centres needs at
+    any grid: each coordinate's range ends c -+ delta as integers over one
+    denominator, and for discs and balls (cpo, S0s, scaled, radii2): per
+    object the lcm S0 of its denominators and (S0 * delta)^2, per coordinate
+    its centre times its object's S0."""
+    dn, dd = delta.numerator, delta.denominator
+    ends = [(cn * dd - dn * cd, cd * dd, cn * dd + dn * cd, cd * dd) for cn, cd in centers]
+    if shape.kind == "box":
+        return ends, None
+    cpo = shape.coords_per_object
+    dens = [cd for _, cd in centers]
+    S0s = list(map(lcm, repeat(dd), *(dens[j::cpo] for j in range(cpo))))
+    S0_of = [S0 for S0 in S0s for _ in range(cpo)]
+    scaled = [cn * (S0 // cd) for (cn, cd), S0 in zip(centers, S0_of)]
+    return ends, (cpo, S0s, scaled, [(dn * (S0 // dd)) ** 2 for S0 in S0s])
+
+
+def input_drawer(area, spec, rng):
+    """Draws of one uniform grid point of the perturbation area, every
+    coordinate's clipped range computed up front; None on an empty range or
+    after 4096 failed tries of one object."""
+    ends, balls = area
+    sampler = GridSampler(spec, spec._indices(ends), rng)
+    if balls:
+        t = spec.L + 1 - spec.emax
+        up, down = max(t, 0), max(-t, 0)
+        cpo, S0s, scaled, radii2 = balls
+        centres = zip(*[iter([sc << up for sc in scaled])] * cpo)
+        balls = list(zip([S0 << down for S0 in S0s], centres, [r2 << 2 * up for r2 in radii2]))
+
+    def draw():
+        try:
+            lams = sampler.draw_balls(balls) if balls else sampler.draw()
+        except EmptyGrid:
+            return None
+        return None if lams is None else sampler.floats(lams)
+
+    return draw
+
+
+def acp_loop(guarded, ybar, shape, seed, L0, K0, max_rounds, eta_runs, grow, delta_schedule=None):
+    """algo._acp_loop with the per-centre set-up above."""
+    centers = [(c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio() for c in ybar]
+    if len(centers) % shape.coords_per_object:
+        raise ValueError("input length does not match the shape's grouping")
+    deltas = delta_schedule or (shape.delta,) * eta_runs
+    delta_max = delta_schedule[-1] if delta_schedule else shape.delta
+    emax = compute_emax(centers, [delta_max.as_integer_ratio()] * len(centers))
+    areas = {d: area_constants(centers, shape, d) for d in set(deltas)}
+    rng = SplitMix64(seed)
+    stats = CpRunStats(seed=seed)
+    L, K = L0, K0
+    for _ in range(max_rounds):
+        if L > MAX_L:
+            break
+        stats.rounds += 1
+        while emax + 1 >= (1 << (K - 1)):
+            K += 1
+        stats.L_sequence.append(L)
+        stats.K_sequence.append(K)
+        spec = GridSpec(L, K, emax)
+        round_kind = "guard_failure"
+        draw = None
+        for delta in deltas:
+            stats.attempts += 1
+            if delta_schedule:
+                stats.delta_sequence.append(delta)
+            if draw is None or delta_schedule:
+                draw = input_drawer(areas[delta], spec, rng)
+            y = draw()
+            if y is None:
+                round_kind = "guard_failure"
+                continue
+            outcome = guarded(y, L, K)
+            kind = outcome[0]
+            if kind == "success":
+                stats.outcomes.append("success")
+                stats.final_L, stats.final_K = L, K
+                return y, outcome[1], stats
+            round_kind = kind
+        stats.outcomes.append(round_kind)
+        L, K = grow(L, K, round_kind)
+    stats.final_L, stats.final_K = L, K
+    cap = f"L = {L} is past the bit budget {MAX_L}" if L > MAX_L else f"no success within {max_rounds} rounds"
+    raise IterationCapExceeded(f"{cap} (seed {seed})", stats)

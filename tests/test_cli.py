@@ -191,6 +191,21 @@ class TestInadmissibleParameters:
         assert captured.out == ""
         assert captured.err == f"inadmissible input: {message}\n"
 
+    def test_emax_below_the_inputs_exits_two(self, capsys):
+        # with --emax 1 every in_circle input lay above 2^emax, where the
+        # guard's static bound does not hold: 2000 draws were certified and
+        # 145 of those signs were wrong.  The same run without --emax
+        # certifies none
+        argv = ["simulate", "--predicate", "in_circle", "--center", "-18", "4", "--radius", "18",
+                "--xbar", "0", "0", "--delta", "1/2", "--L", "4", "--K", "8", "--trials", "2000", "--seed", "1"]
+        assert main([*argv, "--emax", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("inadmissible input: emax = 1 is below 5, the least that holds every "
+                                "centre +- delta and fixed value\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "4,8,2000,0,0.000000000,0.000000000"
+
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_unreadable_predicate_file_exits_two(self, command, tmp_path, capsys):
         flags = ["--p", "1/2"] if command == "analyze" else self.SIM[1:]

@@ -11,7 +11,7 @@ from reference_grid import grid_float
 from reference_guard import coerce_inputs, eval_arithmetic, reference_guarded_eval
 from test_guard_exact_stage import members
 
-from cperturb.errorbounds import _input_pairs, annotate, compile_guard, guarded_eval, static_bound
+from cperturb.errorbounds import _input_pairs, _on_one_exponent, annotate, compile_guard, guarded_eval, static_bound
 from cperturb.exact import rat_eval
 from cperturb.expr import Abs, Add, Const, Div, Input, Max, Min, Mul, Sub
 from cperturb import geom
@@ -148,8 +148,8 @@ def mixed(k: int):
 def integer_mode_cases(draw):
     """Homogeneous, mixed-degree and other trees, on grids up to a 2^200
     scale, with grid indices at 0, +-1 and +-2^(L+1), points below 2^e_min,
-    any other members (off the grid, subnormal), and the shared exponent q
-    up to 300 bits below the inputs' least one."""
+    any other members of the box [-2^emax, 2^emax] (off the grid, subnormal),
+    and the shared exponent q up to 300 bits below the inputs' least one."""
     k = draw(st.integers(1, 4))
     homogeneous_k = homogeneous(k, draw(st.integers(1, 3)))
     e = draw(st.one_of(homogeneous_k, homogeneous_k, mixed(k), mixed(k), trees(k)))
@@ -163,7 +163,7 @@ def integer_mode_cases(draw):
     big = st.integers(edge // 8, edge - 1)  # far from zero, so that N often clears T
     lams = st.one_of(big, big.map(lambda lam: -lam), st.integers(-edge, edge),
                      st.sampled_from((0, 1, -1, edge, -edge)), st.integers(-64, 64))
-    xs = [draw(st.one_of(lams.map(lambda lam: grid_float(lam, spec)), members(L, K))) for _ in range(k)]
+    xs = [draw(st.one_of(lams.map(lambda lam: grid_float(lam, spec)), members(L, K, emax))) for _ in range(k)]
     below = draw(st.sampled_from((0, 0, 0, 1, 7, 300)))
     return e, xs, L, K, emax, below
 
@@ -175,6 +175,35 @@ def test_integer_mode_equals_reference(case):
     e, xs, L, K, emax, below = case
     ms, q = on_one_exponent(_input_pairs(xs, L, K), below)
     assert guarded_eval(e, ms, L, K, emax, q) == reference_guarded_eval(e, xs, L, K, emax)
+
+
+@st.composite
+def edge_cases(draw):
+    """trees(k) with every input at -2^emax, 0 or 2^emax (at least one at an
+    end) or at a grid point next to them."""
+    k = draw(st.integers(1, 4))
+    e = draw(trees(k))
+    L = draw(st.integers(2, 60))
+    emax = draw(st.one_of(st.integers(0, 2), st.integers(0, 40), st.integers(198, 202)))
+    K = (emax + 2).bit_length() + 1 + draw(st.integers(0, 3))  # emax + 1 < 2^(K-1)
+    spec = GridSpec(L, K, emax)
+    edge = 1 << (L + 1)
+    lams = [draw(st.sampled_from((edge, -edge, edge, -edge, 0, edge - 1, 1 - edge))) for _ in range(k)]
+    lams[draw(st.integers(0, k - 1))] = draw(st.sampled_from((edge, -edge)))
+    return e, [grid_float(lam, spec) for lam in lams], L, K, emax
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edge_cases())
+def test_integer_mode_at_the_box_edge_equals_reference(case):
+    # the range-safe record gives every input sup 2^emax, so inputs of exactly
+    # +-2^emax are admitted, and integer mode decides them as any other
+    e, xs, L, K, emax = case
+    ms, q = _on_one_exponent(xs, L, K, emax)
+    assert max(map(abs, ms)) * F(2) ** q == 2 ** emax
+    assert guarded_eval(e, ms, L, K, emax, q) == reference_guarded_eval(e, xs, L, K, emax)
+    assert guarded_eval(e, xs, L, K, emax) == reference_guarded_eval(e, xs, L, K, emax)
 
 
 def test_hull_calls_guarded_eval_once_per_evaluation(monkeypatch):

@@ -20,7 +20,7 @@ from cperturb.geom import (
     orientation2d_expr,
     rational_expr,
 )
-from cperturb.grid import GridSpec, PerturbationBox, SplitMix64, sample_grid_values
+from cperturb.grid import GridSpec, InadmissibleInput, PerturbationBox, SplitMix64, sample_grid_values
 from cperturb.softfloat import fl_round
 
 
@@ -141,6 +141,23 @@ class TestPolynomialBuilder:
     def test_refusals(self, expr):
         with pytest.raises(NotAnalyzable):
             make_polynomial(expr, 2, (0, 0), (1, 1))
+
+    def test_explicit_emax_must_hold_every_input(self):
+        # each builder admits the least emax that holds every centre +- delta
+        # and every fixed value, and refuses one below it; the default also
+        # adds delta to the fixed data, as it always has
+        builds = [
+            (lambda e: make_univariate((1, 1), center=3, delta=1, emax=e), 2, 2),
+            (lambda e: make_polynomial(Mul(Input(0), Input(1)), 2, (F(1, 2), -5), (F(1, 4), 3), emax=e), 3, 3),
+            (lambda e: make_orientation2d([(0, 0), (1, 0), (0, 7)], delta=1, emax=e), 3, 3),
+            (lambda e: make_inbox((0, 0), (8, 1), (1, 1), delta=F(1, 2), emax=e), 3, 4),
+            (lambda e: make_incircle((0, 0), 8, (1, 1), delta=F(1, 2), emax=e), 3, 4),
+        ]
+        for build, need, default in builds:
+            assert build(None).desc.emax == default
+            assert build(need).desc.emax == need
+            with pytest.raises(InadmissibleInput, match=f"emax = {need - 1} is below {need}"):
+                build(need - 1)
 
     def test_coordinate_counts_checked(self):
         with pytest.raises(ValueError):

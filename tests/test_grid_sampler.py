@@ -4,14 +4,15 @@ None, and the same stream position as the per-caller loops it replaced
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 import reference_grid as ref
+from cperturb import algo
 from cperturb.algo import (
     IterationCapExceeded,
     PerturbationShape,
-    _area_constants,
     _input_drawer,
     run_acp,
     run_acp_delta_variant,
@@ -27,6 +28,7 @@ from cperturb.grid import (
     sample_grid_point,
     sample_grid_values,
 )
+from cperturb.geom import guarded_convex_hull
 
 SHAPES = {"box": 1, "disc": 2, "ball": 3}
 
@@ -111,8 +113,9 @@ def test_input_drawer_matches_reference_stream(kind):
         if k != kind:
             continue
         a, b = SplitMix64(n), SplitMix64(n)
-        centers = [(c.numerator, c.denominator) for c in ybar]
-        draw = _input_drawer(_area_constants(centers, PerturbationShape(kind, delta), delta), spec, b)
+        D = lcm(delta.denominator, *(c.denominator for c in ybar))  # the run's one denominator
+        Cs = [c.numerator * (D // c.denominator) for c in ybar]
+        draw = _input_drawer(Cs, D, delta.numerator * (D // delta.denominator), SHAPES[kind], spec, b)
         for _ in range(3):  # one drawer per (spec, delta), drawn from repeatedly
             before = a.counter
             want = ref.sample_shape_input(ybar, kind, delta, spec, a)
@@ -206,3 +209,79 @@ def test_balls_must_cover_every_coordinate():
         sampler.draw_balls([(1, (0,), 1)])
     with pytest.raises(ValueError):
         sampler.draw_balls([])
+
+
+def setup_cases():
+    """(kind, variant, centres, delta, L0): all three shapes under run_acp and
+    run_acp_delta_variant, dyadic centres on rasters down to 2^-24 (D a power
+    of two, so that t = L + 1 - emax falls on both sides of log2 D) and
+    non-dyadic ones, starting precisions from 2 to 96."""
+    rng = random.Random(24)
+    cases = []
+    for n in range(48):
+        kind, variant = ("box", "disc", "ball")[n % 3], ("acp", "delta")[n // 3 % 2]
+        dyadic = n // 6 % 2 == 0
+        dens = (1, 2, 1 << 10, 1 << 24) if dyadic else (1, 3, 10, 1 << 10)
+        ybar = [F(rng.randint(-1 << 12, 1 << 12), rng.choice(dens)) for _ in range(6 * rng.randint(1, 3))]
+        delta = rng.choice((F(1, 2), F(3, 4), F(1, 1 << 12)) if dyadic else (F(3, 7), F(1, 3), F(1, 2)))
+        cases.append((kind, variant, ybar, delta, rng.randint(2, 96)))
+    return cases
+
+
+def upto_empty(ranges):
+    """The ranges up to and including the first empty one."""
+    n = next((i + 1 for i, (_, span) in enumerate(ranges) if span <= 0), len(ranges))
+    return ranges[:n]
+
+
+def test_run_setup_on_one_denominator_matches_the_per_centre_reference(monkeypatch):
+    # the loop puts centres and deltas on one denominator D once per run and
+    # derives each round's ranges and in-shape constants from it; the
+    # reference computes them per centre and clips them to the grid.  Every
+    # round's (lo, span) list, the run's emax, y, the hull and the stats agree
+    seen = []
+    init = GridSampler.__init__
+
+    def recording(self, spec, ranges, rng):
+        seen.append((spec, list(ranges)))
+        init(self, spec, ranges, rng)
+
+    monkeypatch.setattr(GridSampler, "__init__", recording)
+    sides = set()
+    for n, (kind, variant, ybar, delta, L0) in enumerate(setup_cases()):
+        if variant == "delta":
+            extra = {"psi_delta": 2, "delta_min": delta, "eta_runs": 3}
+            loop, delta_max = run_acp_delta_variant, delta * 4
+        else:
+            extra, loop, delta_max = {}, run_acp, delta
+        emax = compute_emax(ybar, [delta_max] * len(ybar))
+
+        def run():
+            calls = []
+
+            def guarded(y, L, K):  # three failures first, so that L grows
+                calls.append(1)
+                if len(calls) <= 3:
+                    return ("guard_failure", None)
+                return guarded_convex_hull(list(zip(y[0::2], y[1::2])), L, K, emax)
+
+            seen.clear()
+            try:
+                y, hull, stats = loop(guarded, ybar, PerturbationShape(kind, delta), seed=n, L0=L0, **extra)
+            except IterationCapExceeded as exc:
+                y, hull, stats = None, None, exc.stats
+            return (y, hull, stats.to_json()), list(seen)
+
+        got, got_ranges = run()
+        with monkeypatch.context() as m:
+            m.setattr(algo, "_acp_loop", ref.acp_loop)
+            want, want_ranges = run()
+        assert got == want
+        assert len(got_ranges) == len(want_ranges) > 0
+        for (spec, ranges), (ref_spec, ref_ranges) in zip(got_ranges, want_ranges):
+            assert spec == ref_spec and spec.emax == emax
+            assert ranges == upto_empty(ref_ranges)
+        D = lcm(delta.denominator, *(c.denominator for c in ybar))
+        if D & (D - 1) == 0:
+            sides |= {spec.L + 1 - emax >= D.bit_length() - 1 for spec, _ in got_ranges}
+    assert sides == {True, False}

@@ -29,9 +29,10 @@ from cperturb.errorbounds import (
     guarded_eval,
 )
 from cperturb.expr import Abs, Add, Const, Input, Max, Min, Mul, Sub
-from cperturb.geom import orientation2d_expr
-from cperturb.grid import GridSpec
-from cperturb.softfloat import SoftFloat, exponent_max, exponent_min
+from cperturb.exact import rat_eval
+from cperturb.geom import guarded_convex_hull, orientation2d_expr
+from cperturb.grid import GridSpec, InadmissibleInput
+from cperturb.softfloat import SoftFloat, exponent_max, exponent_min, fl_round
 
 # dyadic constants, some not representable at small L (2^40 + 1, 12345/4096)
 # or outside F_{L,K} at small K (2^40 + 1, 2^-40, 2^-200)
@@ -48,16 +49,20 @@ def smallest_k(emax: int) -> int:
 
 
 @st.composite
-def members(draw, L, K):
-    """Any member of F_{L,K}: zero, subnormal or normal, of either sign."""
+def members(draw, L, K, emax):
+    """Any member of F_{L,K} in [-2^emax, 2^emax], the box every guard admits:
+    zero, subnormal or normal, of either sign, the ends +-2^emax among them."""
     sign = draw(st.sampled_from((1, -1)))
-    kind = draw(st.sampled_from(("zero", "subnormal", "normal", "normal")))
+    kind = draw(st.sampled_from(("zero", "subnormal", "normal", "normal", "edge")))
+    top = min(exponent_max(K), emax - 1)  # normal members below 2^(top + 1) <= 2^emax
     if kind == "zero":
         return SoftFloat(1, 0, exponent_min(K), L, K)
     if kind == "subnormal":
         return SoftFloat(sign, draw(st.integers(1, (1 << L) - 1)), exponent_min(K), L, K)
+    if kind == "edge" or top < exponent_min(K):
+        return SoftFloat(sign, 1 << L, emax, L, K)
     m = draw(st.integers(1 << L, (1 << (L + 1)) - 1))
-    return SoftFloat(sign, m, draw(st.integers(exponent_min(K), exponent_max(K))), L, K)
+    return SoftFloat(sign, m, draw(st.integers(exponent_min(K), top)), L, K)
 
 
 @st.composite
@@ -80,7 +85,7 @@ def cases(draw):
     spec = GridSpec(L, K, emax)
     edge = 1 << (L + 1)
     grid = st.integers(-edge, edge).map(lambda lam: grid_float(lam, spec))
-    xs = [draw(st.one_of(grid, grid, members(L, K))) for _ in range(k)]
+    xs = [draw(st.one_of(grid, grid, members(L, K, emax))) for _ in range(k)]
     form = draw(st.sampled_from(("softfloat", "fraction", "integers")))
     if form == "fraction":
         xs = [v.to_fraction() for v in xs]
@@ -180,11 +185,15 @@ def test_integer_mode_decides_clear_signs(rounded_runs):
     for b, stage in (((1 << 16) + 1, "integer"), (1 << 16, "rounded"), ((1 << 16) - 1, "rounded")):
         assert integer_mode(e, [0, 0, 1 << 16, 0, 0, b], L, K, emax, q, rounded_runs) == (
             SignCertified(1), stage)
-    # an input at 2^emax = 2^25 * 2^q: the rounded block
+    # inputs at 2^emax = 2^25 * 2^q, the box's edge, and at -2^emax: integer mode
     edge = [0, 0, 1 << 25, 0, 0, 1 << 24]
-    assert integer_mode(e, edge, L, K, emax, q, rounded_runs) == (SignCertified(1), "rounded")
-    # q = 1 above emax = 0: every nonzero input is at least 2 > 2^emax
-    assert integer_mode(e, [0, 0, 1, 0, 0, 1], L, K, emax, 1, rounded_runs) == (SignCertified(1), "rounded")
+    assert integer_mode(e, edge, L, K, emax, q, rounded_runs) == (SignCertified(1), "integer")
+    edge = [-(1 << 25), 0, 0, 0, -(1 << 25), -(1 << 25)]
+    assert integer_mode(e, edge, L, K, emax, q, rounded_runs) == (SignCertified(-1), "integer")
+    # q = 1 above emax = 0: every nonzero input is at least 2 > 2^emax, which
+    # the checked path refuses
+    with pytest.raises(InadmissibleInput):
+        guarded_eval(e, [0, 0, 2, 0, 0, 2], L, K, emax)
     # q = -125 below the safe quantum -75: the guard takes q as given, so the
     # rounded block decides, though the inputs are multiples of 2^-25
     fine = [0, 0, 1 << 116, 0, 0, 1 << 124]
@@ -276,15 +285,56 @@ def test_input_read_twice_is_checked_at_its_one_load(rounded_runs, e, fine):
     L, K, emax = 8, 4, 2
     y = F(3, 1 << 7)
     assert verdict_and_stage(e, [y, 2], L, K, emax, rounded_runs) == fine
-    # off the quantum, or not below 2^emax: the stage declines, the block rounds
-    bad_inputs = ([y / 2, 2], [F(5), 2], [F(-4), 2], [2, y / 2], [2, F(5)])
-    for bad in bad_inputs:
+    # at the box's edge +-2^emax = +-4 the stage decides as it does inside
+    for edge in ([F(-4), 2], [F(4), -2], [2, F(4)]):
+        assert verdict_and_stage(e, edge, L, K, emax, rounded_runs)[1] == fine[1]
+    # off the quantum: the stage declines, the block rounds
+    off = ([y / 2, 2], [2, y / 2])
+    for bad in off:
         assert verdict_and_stage(e, bad, L, K, emax, rounded_runs)[1]
+    # above 2^emax: refused at the one load, whichever read comes first
+    for bad in ([F(5), 2], [2, F(5)], [F(-5), 2]):
+        with pytest.raises(InadmissibleInput):
+            guarded_eval(e, bad, L, K, emax)
+        with pytest.raises(InadmissibleInput):
+            _on_one_exponent(bad, L, K, emax)
     # the same inputs on their one exponent, given to integer mode directly
     Q = _guard_of(e)._whole._range_safe(emax, L, K)[0]
-    ms, q = _on_one_exponent([y, 2], L, K)
+    ms, q = _on_one_exponent([y, 2], L, K, emax)
     assert q == Q and integer_mode(e, ms, L, K, emax, q, rounded_runs) == (
         fine[0], "rounded" if fine[1] else "integer")
-    for bad in bad_inputs:
-        ms, q = _on_one_exponent(bad, L, K)
+    ms, q = _on_one_exponent([F(-4), 2], L, K, emax)
+    assert integer_mode(e, ms, L, K, emax, q, rounded_runs)[1] == ("rounded" if fine[1] else "integer")
+    for bad in off:
+        ms, q = _on_one_exponent(bad, L, K, emax)
         assert integer_mode(e, ms, L, K, emax, q, rounded_runs)[1] == "rounded"
+
+
+def test_inputs_above_the_box_are_refused():
+    # the static bound assumes |x_i| <= 2^emax; an input beyond it would be
+    # certified with a bound that does not hold.  Here E = 0 exactly, and the
+    # rounded block at (4, 8) once certified -1
+    e = orientation2d_expr()
+    xs = [40, 10, 26, -24, -30, -160]
+    assert rat_eval(e, xs) == 0
+    with pytest.raises(InadmissibleInput, match="outside"):
+        guarded_eval(e, xs, 4, 8, 0)
+    # the same inputs on a box that holds them: no sign is certified
+    assert guarded_eval(e, xs, 4, 8, 8) == reference_guarded_eval(e, xs, 4, 8, 8) == GuardFailed()
+    # one step above the edge is refused, the edge itself is admitted, in
+    # every form and through the hull's one check
+    L, K, emax = 24, 8, 3
+    above = F(8) + F(1, 1 << 20)
+    for x, admitted in ((F(8), True), (F(-8), True), (above, False), (-above, False)):
+        for form in (x, fl_round(x, L, K)):
+            xs = [form, 0, 1, 0, 0, 1]
+            if admitted:
+                assert guarded_eval(e, xs, L, K, emax) == reference_guarded_eval(e, xs, L, K, emax)
+                assert guarded_convex_hull([(form, 0), (1, 0), (0, 1)], L, K, emax)[0] == "success"
+            else:
+                with pytest.raises(InadmissibleInput):
+                    guarded_eval(e, xs, L, K, emax)
+                with pytest.raises(InadmissibleInput):
+                    guarded_convex_hull([(form, 0), (1, 0), (0, 1)], L, K, emax)
+    # every input zero: q = 0 lies above emax = -1, and nothing is refused
+    assert guarded_eval(e, [0] * 6, L, K, -1) == GuardFailed()
