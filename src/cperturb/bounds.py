@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from .exact import Exact
@@ -390,7 +391,8 @@ def select_beta(index_set, k: int) -> set[tuple[int, ...]]:
     A permutation ranks the variables, and its maximum is what is left after
     keeping the tuples maximal in the top-ranked variable, then the next,
     and so on.  The search walks the rankings, memoized on (survivors,
-    unranked variables), and stops at one survivor; k is capped at 8.
+    unranked variables), and stops at one survivor; k is capped at 8.  Its
+    answer is memoized per (tuple set, k); each call returns a fresh set.
     """
     if k > 8:
         raise ArityTooLarge(f"select_beta is capped at k = 8, got k = {k}")
@@ -399,6 +401,11 @@ def select_beta(index_set, k: int) -> set[tuple[int, ...]]:
         raise ValueError("empty exponent set")
     if any(len(t) != k for t in tuples):
         raise ValueError(f"every exponent tuple needs {k} entries")
+    return set(_select_beta(tuples, k))
+
+
+@lru_cache(maxsize=256)
+def _select_beta(tuples: frozenset, k: int) -> frozenset:
     memo: dict = {}
 
     def search(survivors: frozenset, free: frozenset) -> frozenset:
@@ -417,7 +424,7 @@ def select_beta(index_set, k: int) -> set[tuple[int, ...]]:
             memo[key] = frozenset(out)
         return memo[key]
 
-    return set(search(tuples, frozenset(range(k))))
+    return search(tuples, frozenset(range(k)))
 
 
 def choose_beta(index_set, k: int) -> tuple[int, ...]:

@@ -746,7 +746,9 @@ def compile_guard(e: Expr) -> CompiledGuard:
 
 def _guard_of(e: Expr) -> CompiledGuard:
     """The compiled guard memoized on the expression instance: an attribute
-    costs far less than hashing the tree for a cache lookup."""
+    costs far less than hashing the tree for a cache lookup.  One guard
+    serves every predicate built on that instance (geom's builders, parse
+    and polynomial_expr share one per expression)."""
     g = getattr(e, "_guard", None)
     if g is None:
         g = compile_guard(e)

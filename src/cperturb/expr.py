@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -110,8 +111,10 @@ class ParseError(ValueError):
     pass
 
 
+@lru_cache(maxsize=256)
 def parse(text: str) -> Expr:
-    """Parse the prefix format produced by serialize()."""
+    """Parse the prefix format produced by serialize(): one shared tree per
+    distinct text, so its analyses reuse what is memoized on the tree."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
@@ -164,7 +167,16 @@ def expand_polynomial(e: Expr, k: int) -> dict[tuple[int, ...], Fraction]:
     """Expand an Add/Sub/Mul/Const/Input tree into {exponent tuple: coefficient}.
 
     Cancelled terms are dropped; the zero polynomial yields an empty dict.
+    The expansion at the last k is memoized on the tree instance, as the
+    guard is; each call returns a fresh dict.
     """
+    memo = getattr(e, "_terms", None)
+    if memo is None or memo[0] != k:
+        object.__setattr__(e, "_terms", memo := (k, _expand(e, k)))
+    return dict(memo[1])
+
+
+def _expand(e: Expr, k: int) -> dict[tuple[int, ...], Fraction]:
     zero_key = (0,) * k
 
     def combine(a, b, sign=1):
@@ -183,12 +195,11 @@ def expand_polynomial(e: Expr, k: int) -> dict[tuple[int, ...], Fraction]:
         key = tuple(1 if i == e.index else 0 for i in range(k))
         return {key: Fraction(1)}
     if isinstance(e, Add):
-        return combine(expand_polynomial(e.left, k), expand_polynomial(e.right, k))
+        return combine(_expand(e.left, k), _expand(e.right, k))
     if isinstance(e, Sub):
-        return combine(expand_polynomial(e.left, k), expand_polynomial(e.right, k), -1)
+        return combine(_expand(e.left, k), _expand(e.right, k), -1)
     if isinstance(e, Mul):
-        left = expand_polynomial(e.left, k)
-        right = expand_polynomial(e.right, k)
+        left, right = _expand(e.left, k), _expand(e.right, k)
         out: dict[tuple[int, ...], Fraction] = {}
         for ka, ca in left.items():
             for kb, cb in right.items():
@@ -206,11 +217,15 @@ def polynomial_expr(terms: dict[tuple[int, ...], Fraction]) -> Expr:
     Nonzero terms in ascending key order, each Const(c) multiplied by its
     inputs one Mul at a time, folded left with Add; the zero polynomial is
     Const(0).  The shape fixes the guard's rounding order, so it stays put.
+    One shared tree per distinct set of nonzero terms, as parse() shares.
     """
+    return _polynomial_tree(tuple(sorted((key, c) for key, c in terms.items() if c != 0)))
+
+
+@lru_cache(maxsize=256)
+def _polynomial_tree(terms: tuple) -> Expr:
     out = None
-    for key, c in sorted(terms.items()):
-        if c == 0:
-            continue
+    for key, c in terms:
         term: Expr = Const(c)
         for i, e in enumerate(key):
             for _ in range(e):

@@ -68,6 +68,11 @@ def rational_expr() -> Expr:
     return Div(Input(0), Input(1))
 
 
+# built once: the guard, its quanta and the expansion are memoized on each
+# instance, so every predicate and hull built on one shares them
+_ORIENTATION2D, _INBOX, _INCIRCLE = orientation2d_expr(), inbox_expr(), incircle_expr()
+
+
 @dataclass(frozen=True)
 class PredicateInstance:
     """A named predicate wired to its description and bound set."""
@@ -172,7 +177,7 @@ def make_orientation2d(
     flat = [Fraction(c) for pt in centers for c in pt]
     if len(flat) != 6:
         raise ValueError("three planar points expected")
-    return make_polynomial(orientation2d_expr(), 6, flat, [delta] * 6, t, emax, "orientation2d")
+    return make_polynomial(_ORIENTATION2D, 6, flat, [delta] * 6, t, emax, "orientation2d")
 
 
 def make_inbox(
@@ -184,12 +189,11 @@ def make_inbox(
     emax: int | None = None,
 ) -> PredicateInstance:
     """in_box with the query point perturbed; u, v are exact instance data."""
-    expr = inbox_expr()
     u = tuple(Fraction(c) for c in u)
     v = tuple(Fraction(c) for c in v)
     qbar = tuple(Fraction(c) for c in qbar)
     delta = Fraction(delta)
-    desc = _description(expr, 6, qbar, (delta, delta), Fraction(t), emax, u + v)
+    desc = _description(_INBOX, 6, qbar, (delta, delta), Fraction(t), emax, u + v)
     desc, bs = bounds_inbox_direct(desc, (v[0] - u[0], v[1] - u[1]))
 
     def crit(q: Sequence[Fraction]) -> Fraction:
@@ -197,7 +201,7 @@ def make_inbox(
         qx, qy = (Fraction(c) for c in q)
         return min(abs(qx - u[0]), abs(qx - v[0]), abs(qy - u[1]), abs(qy - v[1]))
 
-    return PredicateInstance("in_box", expr, desc, bs, crit,
+    return PredicateInstance("in_box", _INBOX, desc, bs, crit,
                              fixed={0: u[0], 1: u[1], 2: v[0], 3: v[1]})
 
 
@@ -210,12 +214,11 @@ def make_incircle(
     emax: int | None = None,
 ) -> PredicateInstance:
     """in_circle with the query point perturbed; center and radius exact."""
-    expr = incircle_expr()
     c = tuple(Fraction(v) for v in c)
     r = Fraction(r)
     qbar = tuple(Fraction(v) for v in qbar)
     delta = Fraction(delta)
-    desc = _description(expr, 5, qbar, (delta, delta), Fraction(t), emax, (*c, r))
+    desc = _description(_INCIRCLE, 5, qbar, (delta, delta), Fraction(t), emax, (*c, r))
     desc, bs = bounds_incircle_direct(desc, r)
 
     def crit(q: Sequence[Fraction]) -> Fraction:
@@ -228,7 +231,7 @@ def make_incircle(
         d = nth_root(RVal(d2), 2, 64)
         return abs(d2 - r * r) / (d.hi + r)
 
-    return PredicateInstance("in_circle", expr, desc, bs, crit,
+    return PredicateInstance("in_circle", _INCIRCLE, desc, bs, crit,
                              fixed={0: c[0], 1: c[1], 2: r})
 
 
@@ -241,10 +244,6 @@ Outcome = tuple  # ('success', payload) | ('guard_failure', None) | ('range_erro
 @dataclass
 class EvalCounter:
     evaluations: int = 0
-
-
-# built once: guarded_eval memoizes the compiled guard on this instance
-_ORIENTATION2D = orientation2d_expr()
 
 
 def guarded_convex_hull(

@@ -108,7 +108,9 @@ def test_verdict_equals_reference(case):
 
 @pytest.fixture
 def rounded_runs(monkeypatch):
-    """Counts the calls of every block's rounded function."""
+    """Counts the calls of every block's rounded function.  Only blocks built
+    while the fixture is on count, so each test hands it trees of its own,
+    not the shared ones the predicate builders and parse return."""
     calls = []
     init = _Block.__init__
 

@@ -8,6 +8,7 @@ by static_bound), the verdict is sign E and the rounded block does not run,
 whether the guard takes the inputs as values or as grid indices on 2^q.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 from hypothesis import HealthCheck, given, settings
@@ -44,11 +45,16 @@ def cases(draw):
     return e, lams, L, K, emax
 
 
-def rounded_calls(block) -> list:
-    """Records each run of the block's rounded function."""
+@contextmanager
+def rounded_calls(block):
+    """Records each run of the block's rounded function while open; the guard
+    lives on its tree, so the block gets its own function back on exit."""
     calls, run = [], block._run
     block._run = lambda *args: calls.append(args) or run(*args)
-    return calls
+    try:
+        yield calls
+    finally:
+        block._run = run
 
 
 @settings(max_examples=300, derandomize=True, deadline=None,
@@ -67,8 +73,8 @@ def test_clear_signs_skip_the_rounded_block(case):
         if record is None or abs(E) <= 2 * static_bound(annotate(n, emax, prec=L), L):
             continue
         clear = SignCertified(1 if E > 0 else -1)
-        calls = rounded_calls(_guard_of(n).blocks[0])
-        if _on_one_exponent(xs, L, K)[1] >= record[0]:
-            assert guarded_eval(n, xs, L, K, emax) == clear and not calls
-        if q_grid >= record[0]:
-            assert guarded_eval(n, lams, L, K, emax, q_grid) == clear and not calls
+        with rounded_calls(_guard_of(n).blocks[0]) as calls:
+            if _on_one_exponent(xs, L, K)[1] >= record[0]:
+                assert guarded_eval(n, xs, L, K, emax) == clear and not calls
+            if q_grid >= record[0]:
+                assert guarded_eval(n, lams, L, K, emax, q_grid) == clear and not calls
