@@ -5,10 +5,11 @@ functions the quantified-relations method consumes:
 
   * a region bound: nu (volume of the region of uncertainty) or its
     complement chi, as a closed form on the Gamma-line gamma = lambda*gamma_hat,
-  * a lower value bound phi_inf and, where range analysis applies, an upper
-    bound phi_sup on |f| outside the region of uncertainty,
-  * a lower fp-safety bound S_inf(L) = coeff * 2^-L with its exact inverse,
-    and the upper bound S_sup(K) = 2^(2^(K-1)) - S_inf(L).
+  * a lower value bound phi_inf on |f| outside the region of uncertainty,
+  * an upper value bound phi_sup on |f| over the whole perturbation box, a
+    rational constant (range analysis) read only by the exponent condition
+    S_sup(K) = 2^(2^(K-1)) - S_inf(L) >= phi_sup,
+  * a lower fp-safety bound S_inf(L) = coeff * 2^-L with its exact inverse.
 
 Closed forms are stored as symbolic records (rational coefficient, optional
 pi factor, exponents), never as opaque callables, so their inverses are exact
@@ -17,9 +18,9 @@ where the inputs are rational and tight rational enclosures otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from .exact import Exact
@@ -62,13 +63,6 @@ class Sym:
         return Sym(self.rat * o.rat, self.pi_pow + o.pi_pow)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _sym(other)
-        return Sym(self.rat / o.rat, self.pi_pow - o.pi_pow)
-
-    def __rtruediv__(self, other):
-        return _sym(other) / self
 
     def to_rval(self, bits: int) -> RVal:
         v = RVal(self.rat)
@@ -179,9 +173,11 @@ class MinQuadLine:
                 best = lam if best is None else RVal(max(lam.lo, best.lo), max(lam.hi, best.hi))
         return best
 
-    def scaled(self, s) -> "MinQuadLine":
-        s = Fraction(s)
-        return MinQuadLine(tuple((p * s, q * s) for p, q in self.terms))
+    def scaled(self, s) -> "LineForm":
+        s = _sym(s)
+        if not s.is_rational:  # the branch coefficients are rationals
+            return ComboLine((self, ConstLine(s)), "mul")
+        return MinQuadLine(tuple((p * s.rat, q * s.rat) for p, q in self.terms))
 
 
 @dataclass(frozen=True)
@@ -324,12 +320,17 @@ class PredicateDescription:
     def n_analysis(self) -> int:
         return len(self.analysis_indices)
 
-    @property
+    @cached_property
     def mu_u(self) -> Fraction:
-        out = Fraction(1)
-        for d in self.delta:
-            out *= 2 * d
-        return out
+        return box_volume(self.delta)
+
+
+def box_volume(deltas: Sequence[Fraction]) -> Fraction:
+    """mu(U) = prod_i 2*delta_i, the volume of the perturbation box."""
+    out = Fraction(1)
+    for d in deltas:
+        out *= 2 * d
+    return out
 
 
 # --- the BoundSet -------------------------------------------------------------
@@ -339,20 +340,21 @@ class PredicateDescription:
 class BoundSet:
     """The analysis interface for one predicate description.
 
-    Each bound is held once, as a line form: a closed-form function of
-    lambda on the Gamma-line gamma = lambda * gamma_hat.  The region bound
-    is nu or chi as ``kind`` says, and None where no invertible line form
-    exists (the analysis then raises NotAnalyzable).
+    Each bound is held once.  The region bound and phi_inf are line forms:
+    closed-form functions of lambda on the Gamma-line gamma = lambda *
+    gamma_hat.  The region bound is nu or chi as ``kind`` says, and None
+    where no invertible line form exists (the analysis then raises
+    NotAnalyzable).  phi_sup is a rational constant, None where no range
+    bound is known.
     """
 
     kind: str  # 'nu' | 'chi' | 'empty'
     region_line: Optional[LineForm]
     phi_inf_line: Optional[LineForm]
-    phi_sup_line: Optional[LineForm]
+    phi_sup: Optional[Fraction]
     s_inf_coeff: Optional[Fraction]  # S_inf(L) = coeff * 2^-L
     gamma_hat: tuple[Fraction, ...]
     mu_u: Fraction
-    meta: dict = field(default_factory=dict)
 
     def s_inf(self, L: int) -> Fraction:
         if self.s_inf_coeff is None:
@@ -461,11 +463,10 @@ def bounds_univariate(coeffs: Sequence[Exact], desc: PredicateDescription) -> tu
         kind="nu",
         region_line=nu_line,
         phi_inf_line=phi_line,
-        phi_sup_line=ConstLine(Sym(phi_sup_val)),
+        phi_sup=phi_sup_val,
         s_inf_coeff=safety_lower_univariate(d, coeffs, desc.emax, 0),
         gamma_hat=gamma_hat,
         mu_u=desc.mu_u,
-        meta={"d": d, "coeffs": coeffs},
     )
     return desc, bs
 
@@ -493,7 +494,6 @@ def bounds_multivariate(
     beta_hat = max(beta)
     if beta_hat == 0:
         raise ValueError("constant polynomial has no region analysis")
-    d = max(sum(key) for key in terms)
     a_beta = abs(terms[beta])
 
     cubical = all(dl == desc.delta[0] for dl in desc.delta)
@@ -514,18 +514,10 @@ def bounds_multivariate(
         kind="chi",
         region_line=chi_line,
         phi_inf_line=PowerLine(Sym(phi_coeff), beta_star),
-        phi_sup_line=ConstLine(Sym(phi_sup_val)),
+        phi_sup=phi_sup_val,
         s_inf_coeff=multivariate_sinf_coeff(terms, desc.emax),
         gamma_hat=gamma_hat,
         mu_u=desc.mu_u,
-        meta={
-            "beta": beta,
-            "beta_star": beta_star,
-            "beta_hat": beta_hat,
-            "d": d,
-            "n_terms": len(terms),
-            "maxcoeff": max(abs(c) for c in terms.values()),
-        },
     )
     return desc, bs
 
@@ -552,11 +544,10 @@ def bounds_inbox_direct(
         kind="nu",
         region_line=PowerLine(Sym(4 * (ghx * dy + ghy * dx)), 1),
         phi_inf_line=MinQuadLine(((wx * ghx, ghx * ghx), (wy * ghy, ghy * ghy))),
-        phi_sup_line=ConstLine(Sym(Fraction(2) ** (2 * desc.emax + 2))),
+        phi_sup=Fraction(2) ** (2 * desc.emax + 2),
         s_inf_coeff=_inbox_child_sinf(desc.emax),
         gamma_hat=gamma_hat,
         mu_u=desc.mu_u,
-        meta={"width": (wx, wy)},
     )
     return desc, bs
 
@@ -588,11 +579,10 @@ def bounds_incircle_direct(
         kind="nu",
         region_line=PowerLine(Sym(4 * dmin * gamma_hat[0], 1), 1),
         phi_inf_line=MinQuadLine(((2 * r * gamma_hat[0], gamma_hat[0] ** 2),)),
-        phi_sup_line=ConstLine(Sym(phi_sup_val)),
+        phi_sup=phi_sup_val,
         s_inf_coeff=safety_lower_multivariate(2, 7, 2, desc.emax, 0),
         gamma_hat=gamma_hat,
         mu_u=desc.mu_u,
-        meta={"radius": r},
     )
     return desc, bs
 
@@ -616,11 +606,8 @@ def bounds_inbox_topdown(
     gamma_hat = desc.gamma_hat or tuple(cfac * d for d in desc.delta)
     desc = desc.with_gamma_hat(gamma_hat)
 
-    prod_delta = Fraction(1)
-    for d in desc.delta:
-        prod_delta *= d
-
-    chi_line = AffinePowLine(Sym(prod_delta), Fraction(2), 4 * cfac, k)
+    # prod_i (2*delta_i - 4*gamma_i) = (prod_i delta_i) * (2 - 4c*lambda)^k
+    chi_line = AffinePowLine(Sym(desc.mu_u / 2**k), Fraction(2), 4 * cfac, k)
     phi_line = MinQuadLine(tuple((2 * l * gh, gh * gh) for l, gh in zip(ls, gamma_hat)))
     centers = tuple(Fraction(c) for c in (center or [0] * k))
     s_coeff = max(
@@ -632,11 +619,10 @@ def bounds_inbox_topdown(
         kind="chi",
         region_line=chi_line,
         phi_inf_line=phi_line,
-        phi_sup_line=ConstLine(Sym(phi_sup_val)),
+        phi_sup=phi_sup_val,
         s_inf_coeff=s_coeff,
         gamma_hat=gamma_hat,
         mu_u=desc.mu_u,
-        meta={"half_lengths": ls},
     )
     return desc, bs
 
@@ -650,13 +636,11 @@ def rule_sandwich(g: BoundSet, c1: Exact, c2: Exact | None = None) -> BoundSet:
     c1 = Fraction(c1)
     if c1 <= 0 or (c2 is not None and Fraction(c2) < c1):
         raise ValueError("need 0 < c1 <= c2")
-    c2f = None if c2 is None else Fraction(c2)
     return replace(
         g,
         phi_inf_line=g.phi_inf_line.scaled(c1) if g.phi_inf_line else None,
-        phi_sup_line=(g.phi_sup_line.scaled(c2f) if (c2f is not None and g.phi_sup_line) else None),
+        phi_sup=None if c2 is None or g.phi_sup is None else g.phi_sup * Fraction(c2),
         s_inf_coeff=None,
-        meta=dict(g.meta, rule="sandwich"),
     )
 
 
@@ -687,9 +671,6 @@ def rule_product(
         raise IndexSplitInvalid("need one delta per coordinate")
     if tuple(g.gamma_hat)[j:l] != tuple(h.gamma_hat)[: l - j]:
         raise ValueError("shared coordinates need the same gamma_hat in g and h")
-    mu_u = Fraction(1)
-    for d in deltas:
-        mu_u *= 2 * d
     gamma_hat = tuple(g.gamma_hat) + tuple(h.gamma_hat)[l - j :]
 
     phi_line = (
@@ -697,11 +678,7 @@ def rule_product(
         if g.phi_inf_line and h.phi_inf_line
         else None
     )
-    phi_sup_line = (
-        compose_mul(g.phi_sup_line, h.phi_sup_line)
-        if g.phi_sup_line and h.phi_sup_line
-        else None
-    )
+    phi_sup = None if g.phi_sup is None or h.phi_sup is None else g.phi_sup * h.phi_sup
 
     if j == l:
         kind = "chi"
@@ -713,12 +690,7 @@ def rule_product(
     else:
         # shared arguments: nu_f = nu_g * prod_{i>l} 2d_i + nu_h * prod_{i<=j} 2d_i
         kind = "nu"
-        tail = Fraction(1)
-        for d in deltas[l:]:
-            tail *= 2 * d
-        head = Fraction(1)
-        for d in deltas[:j]:
-            head *= 2 * d
+        tail, head = box_volume(deltas[l:]), box_volume(deltas[:j])
         region_line = None
         gl, hl = g.region_line, h.region_line
         if (
@@ -733,11 +705,10 @@ def rule_product(
         kind=kind,
         region_line=region_line,
         phi_inf_line=phi_line,
-        phi_sup_line=phi_sup_line,
+        phi_sup=phi_sup,
         s_inf_coeff=s_inf_coeff,
         gamma_hat=gamma_hat,
-        mu_u=mu_u,
-        meta={"rule": "product", "split": (j, l, k)},
+        mu_u=box_volume(deltas),
     )
 
 
@@ -752,7 +723,9 @@ def rule_minmax(
     s_inf_coeff: Fraction | None = None,
 ) -> BoundSet:
     """min/max of two functions: phi_min/phi_max are the min/max of the
-    component bounds; the region bound composes exactly as in the product rule."""
+    component bounds; the region bound composes exactly as in the product rule.
+    |min(g, h)| and |max(g, h)| each equal |g| or |h|, so phi_sup is the
+    larger of the two for both."""
     if which not in ("min", "max"):
         raise ValueError("which must be 'min' or 'max'")
     base = rule_product(g, h, j, l, k, deltas, s_inf_coeff=s_inf_coeff)
@@ -761,17 +734,8 @@ def rule_minmax(
         if g.phi_inf_line and h.phi_inf_line
         else None
     )
-    phi_sup_line = (
-        ComboLine((g.phi_sup_line, h.phi_sup_line), which)
-        if g.phi_sup_line and h.phi_sup_line
-        else None
-    )
-    return replace(
-        base,
-        phi_inf_line=phi_line,
-        phi_sup_line=phi_sup_line,
-        meta={"rule": f"{which}", "split": (j, l, k)},
-    )
+    phi_sup = None if g.phi_sup is None or h.phi_sup is None else max(g.phi_sup, h.phi_sup)
+    return replace(base, phi_inf_line=phi_line, phi_sup=phi_sup)
 
 
 def _chi_line_of(b: BoundSet) -> Optional[LineForm]:
@@ -802,7 +766,3 @@ class RationalPrecision:
     def __call__(self, p: Exact) -> int:
         q = self.component_probability(p)
         return max(self.l_g(q), self.l_h(q))
-
-
-def rational_precision(l_g: Callable[[Fraction], int], l_h: Callable[[Fraction], int]) -> RationalPrecision:
-    return RationalPrecision(l_g, l_h)

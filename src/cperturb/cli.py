@@ -42,7 +42,7 @@ from .geom import (
 )
 from .grid import EmptyGrid, GridSampler, GridSpec, PerturbationBox, SplitMix64, compute_emax, count_grid
 from .qr import BudgetTooLarge, probability, quantified_relations
-from .reals import is_power_of_two
+from .reals import PrecisionExhausted, is_power_of_two
 from .softfloat import count_floats, float_set_size
 
 
@@ -510,7 +510,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InadmissibleInput, EmptyGrid) as exc:
         print(f"inadmissible input: {exc}", file=sys.stderr)
         return 2
-    except (NotAnalyzable, BudgetTooLarge) as exc:
+    except (NotAnalyzable, BudgetTooLarge, PrecisionExhausted) as exc:
         print(f"not analyzable: {exc}", file=sys.stderr)
         return 2
     except IterationCapExceeded as exc:

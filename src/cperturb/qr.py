@@ -10,19 +10,22 @@ probability p:
   Step 4   phi = phi_inf(t * gamma)     (guaranteed |f| outside the region),
   Step 5   L_safe = ceil(S_inf^-1(phi)),
   Step 6   L_grid from the grid unit condition, L_f = max(L_safe, L_grid),
-  and the exponent requirement K_f from the upper fp-safety bound.
+  and the exponent requirement K_f = _k_requirement(L_f) from the rational
+  constant phi_sup.
 
 With an empty critical set (nu identically zero) the first four steps are
 skipped: phi is the constant bound and no grid constraint is generated.
 
 Everything is computed in exact rational arithmetic; the few genuinely
 irrational values (k-th roots, pi) travel as rational enclosures that are
-refined until every integer output is decided.
+refined until every integer output of steps 2-6 is decided.  K_f needs no
+refinement: its inputs are rational.  probability inverts the same
+conditions, and p_sup is K >= _k_requirement(L).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -63,11 +66,10 @@ def lgrid(gamma: Sequence[Exact], t: Exact, emax: int) -> int:
 
 
 def _lgrid_rval(min_gamma: RVal, t: Fraction, emax: int) -> int:
-    scaled = RVal(min(t, 1 - t)) * min_gamma
-    lo, hi = floor_log2(scaled.lo), floor_log2(scaled.hi)
+    lo, hi = lgrid((min_gamma.lo,), t, emax), lgrid((min_gamma.hi,), t, emax)
     if lo != hi:
         raise PrecisionExhausted("grid exponent undecided")
-    return emax - 1 - lo
+    return lo
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,6 @@ class ArithmeticRequirement:
     p: Fraction
     route: str  # 'nu' | 'chi' | 'empty'
     eps: Optional[Fraction]
-    lam: Optional[Fraction]  # lambda on the Gamma-line (enclosure midpoint)
     gamma: Optional[tuple[Fraction, ...]]
     t_gamma: Optional[tuple[Fraction, ...]]
     phi: Fraction
@@ -86,7 +87,6 @@ class ArithmeticRequirement:
     L_f: int
     K_f: int
     exact: bool  # every intermediate was rational
-    trace: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         def exact_fmt(v):
@@ -125,31 +125,24 @@ def _mid(v: RVal) -> Fraction:
     return (v.lo + v.hi) / 2
 
 
-def _line_lambda(desc: PredicateDescription, bounds: BoundSet, p: Fraction, bits: int) -> RVal:
-    """Steps 1-2: the Gamma-line parameter from the volume budget."""
+def _line_lambda(bounds: BoundSet, eps: Fraction, bits: int) -> RVal:
+    """Step 2: the Gamma-line parameter for the volume budget eps."""
     if bounds.region_line is None:
         raise NotAnalyzable("region bound has no invertible line form")
-    mu = bounds.mu_u
     if bounds.kind == "nu":
-        eps = (1 - p) * mu
         top = bounds.region_line.value(Fraction(1), bits)
         if top.hi < eps:
             raise BudgetTooLarge(f"eps={eps} exceeds nu(gamma_hat)={top.hi}")
-        lam = bounds.region_line.inverse(eps, bits)
-    else:
-        eps = p * mu
-        lam = bounds.region_line.inverse(eps, bits)
+    lam = bounds.region_line.inverse(eps, bits)
     if lam.lo > 1:
         raise BudgetTooLarge("budget puts gamma beyond the Gamma-line")
     if lam.hi > 1:
         lam = RVal(lam.lo, Fraction(1))
     if lam.hi <= 0:
         raise BudgetTooLarge("budget leaves no room for a region")
+    if lam.lo <= 0:  # lambda > 0, but this enclosure cannot show it yet
+        raise PrecisionExhausted("Gamma-line parameter undecided at zero")
     return lam
-
-
-def _budget(desc: PredicateDescription, bounds: BoundSet, p: Fraction) -> Fraction:
-    return (1 - p) * bounds.mu_u if bounds.kind == "nu" else p * bounds.mu_u
 
 
 def _empty_phi(bounds: BoundSet) -> Sym:
@@ -173,97 +166,57 @@ def quantified_relations(
         if not phi_sym.is_rational:
             raise NotAnalyzable("irrational constant phi")
         phi = phi_sym.rat
-        L_safe = bounds.s_inf_inverse_L(phi)
-        L_f = L_safe
-        K_f = _k_requirement(desc, bounds, None, L_f, 128)
-        return ArithmeticRequirement(
-            p, "empty", None, None, None, None, phi, L_safe, 0, L_f, K_f, True
-        )
+        L_f = bounds.s_inf_inverse_L(phi)
+        K_f = _k_requirement(desc, bounds, L_f)
+        return ArithmeticRequirement(p, "empty", None, None, None, phi, L_f, 0, L_f, K_f, True)
+
+    # Step 1 (nu) or 1' (chi)
+    eps = (1 - p) * bounds.mu_u if bounds.kind == "nu" else p * bounds.mu_u
 
     def compute(bits: int):
-        lam = _line_lambda(desc, bounds, p, bits)
-        t_lam = RVal(t) * lam
-        phi = bounds.phi_inf_line.value(t_lam, bits)
+        lam = _line_lambda(bounds, eps, bits)
+        phi = bounds.phi_inf_line.value(RVal(t) * lam, bits)
         s_arg = RVal(bounds.s_inf_coeff) / phi
-        min_gamma = lam * RVal(min(bounds.gamma_hat))
-        return bits, lam, t_lam, phi, s_arg, min_gamma
+        return lam, phi, s_arg, lam * RVal(min(bounds.gamma_hat))
 
     def extract(state):
-        bits, lam, t_lam, phi, s_arg, min_gamma = state
+        lam, phi, s_arg, min_gamma = state
         L_safe = max(1, ceil_log2_rval(s_arg))
-        L_grid = _lgrid_rval(min_gamma, t, desc.emax)
-        L_f = max(L_safe, L_grid)
-        K_f = _k_requirement(desc, bounds, t_lam, L_f, bits)
-        exact = lam.exact is not None and phi.exact is not None
-        lam_mid = _mid(lam)
-        gamma = tuple(lam_mid * g for g in bounds.gamma_hat)
-        return ArithmeticRequirement(
-            p=p,
-            route=bounds.kind,
-            eps=_budget(desc, bounds, p),
-            lam=lam_mid,
-            gamma=gamma,
-            t_gamma=tuple(t * v for v in gamma),
-            phi=_mid(phi),
-            L_safe=L_safe,
-            L_grid=L_grid,
-            L_f=L_f,
-            K_f=K_f,
-            exact=exact,
-        )
+        return lam, phi, L_safe, _lgrid_rval(min_gamma, t, desc.emax)
 
-    return refine(compute, extract)
+    lam, phi, L_safe, L_grid = refine(compute, extract)
+    L_f = max(L_safe, L_grid)
+    lam_mid = _mid(lam)
+    gamma = tuple(lam_mid * g for g in bounds.gamma_hat)
+    return ArithmeticRequirement(
+        p=p,
+        route=bounds.kind,
+        eps=eps,
+        gamma=gamma,
+        t_gamma=tuple(t * v for v in gamma),
+        phi=_mid(phi),
+        L_safe=L_safe,
+        L_grid=L_grid,
+        L_f=L_f,
+        K_f=_k_requirement(desc, bounds, L_f),
+        exact=lam.exact is not None and phi.exact is not None,
+    )
 
 
-def _k_requirement(
-    desc: PredicateDescription,
-    bounds: BoundSet,
-    t_lam: Optional[RVal],
-    L: int,
-    bits: int,
-) -> int:
-    """Smallest K supporting precision L: the upper fp-safety condition
+def _k_requirement(desc: PredicateDescription, bounds: BoundSet, L: int) -> int:
+    """Smallest K >= 2 supporting precision L: the upper fp-safety condition
     2^(2^(K-1)) >= phi_sup + S_inf(L), the grid constraint emax + 1 < 2^(K-1),
     and freedom from inexact underflow for the expression's value quantum."""
-    if bounds.phi_sup_line is None:
+    if bounds.phi_sup is None:
         raise NotAnalyzable("no phi_sup bound for the exponent requirement")
-    if isinstance(bounds.phi_sup_line, ConstLine):
-        phi_sup = bounds.phi_sup_line.c.to_rval(bits)
-    else:
-        if t_lam is None:
-            raise NotAnalyzable("gamma-dependent phi_sup with no gamma")
-        phi_sup = bounds.phi_sup_line.value(t_lam, bits)
-    need = phi_sup + RVal(bounds.s_inf(L))
-    e_req = ceil_log2_rval(need)  # need 2^(K-1) >= e_req
-    e_req = max(e_req, desc.emax + 2)  # grid: emax + 1 < 2^(K-1)
+    # need 2^(K-1) >= e_req
+    e_req = max(ceil_log2(bounds.phi_sup + bounds.s_inf(L)), desc.emax + 2)
     try:
         q_min = value_quantum(desc.expr, desc.emax, L)
         e_req = max(e_req, 1 - L - q_min)  # no inexact underflow at precision L
     except UnsupportedNode:
         pass  # rational predicates compose per-component requirements
-    K = 2 if e_req <= 2 else 1 + ceil_log2(e_req)
-    return max(2, K)
-
-
-def exponent_requirement(
-    desc: PredicateDescription, bounds: BoundSet, p: Exact, L: Optional[int] = None
-) -> int:
-    """K_f(p): the exponent width matching the precision choice at p."""
-    p = Fraction(p)
-    if L is None:
-        L = quantified_relations(desc, bounds, p).L_f
-    if bounds.kind == "empty":
-        return _k_requirement(desc, bounds, None, L, 128)
-
-    def compute(bits: int):
-        lam = _line_lambda(desc, bounds, p, bits)
-        return RVal(desc.t) * lam, bits
-
-    def extract(state):
-        t_lam, bits = state
-        return _k_requirement(desc, bounds, t_lam, L, bits)
-
-    return refine(compute, extract)
+    return 2 if e_req <= 2 else 1 + ceil_log2(e_req)
 
 
 @dataclass(frozen=True)
@@ -333,44 +286,6 @@ def probability(
         p_grid = prob_from_lambda(lam_grid, "p_grid")
 
     # upper side: range safety at exponent width K
-    p_sup = _p_sup(desc, bounds, L, K, bits, clamped)
+    clamped.append("p_sup")
+    p_sup = Fraction(1) if K >= _k_requirement(desc, bounds, L) else Fraction(0)
     return ProbabilityReport(p_inf, p_sup, p_grid, tuple(clamped))
-
-
-def _p_sup(
-    desc: PredicateDescription,
-    bounds: BoundSet,
-    L: int,
-    K: int,
-    bits: int,
-    clamped: list,
-) -> Fraction:
-    if bounds.phi_sup_line is None:
-        raise NotAnalyzable("no phi_sup bound")
-    # bottom/grid constraints first: K too small means no guarantee at all
-    e_have = 1 << (K - 1)
-    if desc.emax + 2 > e_have:
-        clamped.append("p_sup")
-        return Fraction(0)
-    try:
-        q_min = value_quantum(desc.expr, desc.emax, L)
-        if 1 - L - q_min > e_have:
-            clamped.append("p_sup")
-            return Fraction(0)
-    except UnsupportedNode:
-        pass
-    s_inf = bounds.s_inf(L)
-    if isinstance(bounds.phi_sup_line, ConstLine):
-        c = bounds.phi_sup_line.c.to_rval(bits)
-        # S_sup(K) >= phi_sup  <=>  2^(K-1) >= log2(phi_sup + S_inf)
-        ok = e_have >= ceil_log2_rval(c + RVal(s_inf))
-        clamped.append("p_sup")
-        return Fraction(1) if ok else Fraction(0)
-    # increasing phi_sup: invert like p_inf
-    e_cap = Fraction(2) ** e_have - s_inf
-    lam = bounds.phi_sup_line.inverse(e_cap, bits) / RVal(desc.t)
-    if lam.lo >= 1:
-        clamped.append("p_sup")
-        return Fraction(1)
-    p = _region_share(bounds, RVal(max(lam.lo, 0), max(lam.hi, 0)), bits)
-    return max(Fraction(0), min(p.lo, Fraction(1)))

@@ -20,7 +20,7 @@ from cperturb.bounds import (
     bounds_multivariate,
     bounds_univariate,
     choose_beta,
-    rational_precision,
+    RationalPrecision,
     rule_minmax,
     rule_product,
     rule_sandwich,
@@ -250,7 +250,8 @@ class TestRules:
         assert exact_at(same, same.phi_inf_line, gv) == exact_at(g, g.phi_inf_line, gv)
         assert exact_at(same, same.region_line, gv) == exact_at(g, g.region_line, gv)
         assert exact_at(scaled, scaled.phi_inf_line, gv) == 2 * exact_at(g, g.phi_inf_line, gv)
-        assert scaled.phi_sup_line is None  # lower-bound-only legacy rule
+        assert same.phi_sup == g.phi_sup
+        assert scaled.phi_sup is None  # lower-bound-only legacy rule
 
     def test_minmax_bounds(self):
         _, g = univariate_pair()
@@ -374,18 +375,18 @@ class TestRationalPrecision:
             calls.append(("h", p))
             return 10
 
-        rp = rational_precision(lg, lh)
+        rp = RationalPrecision(lg, lh)
         assert rp(F(1, 2)) == 10
         assert calls[0][1] == F(3, 4) and calls[1][1] == F(3, 4)
 
     def test_component_budget(self):
-        rp = rational_precision(lambda p: 0, lambda p: 0)
+        rp = RationalPrecision(lambda p: 0, lambda p: 0)
         p = F(2, 5)
         q = rp.component_probability(p)
         assert (1 - q) + (1 - q) == 1 - p
 
     def test_max_contract(self):
-        rp = rational_precision(lambda p: 17, lambda p: 23)
+        rp = RationalPrecision(lambda p: 17, lambda p: 23)
         assert rp(F(1, 2)) == 23
 
 

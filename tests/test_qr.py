@@ -19,7 +19,7 @@ from cperturb.geom import make_incircle, make_univariate
 from cperturb.grid import GridSpec, count_grid, grid_unit
 from cperturb.qr import (
     BudgetTooLarge,
-    exponent_requirement,
+    _k_requirement,
     lgrid,
     probability,
     quantified_relations,
@@ -113,10 +113,9 @@ class TestExponent:
         # phi_sup ~ 2^10, S_inf <= 1: K = 5 is the least with 2^(2^(K-1)) big enough
         desc, bs = univariate(coeffs=(0, 1), emax=0)
         from dataclasses import replace
-        from cperturb.bounds import ConstLine, Sym
 
-        bs2 = replace(bs, phi_sup_line=ConstLine(Sym(F(2) ** 10)))
-        K = exponent_requirement(desc, bs2, F(3, 4), L=10)
+        bs2 = replace(bs, phi_sup=F(2) ** 10)
+        K = _k_requirement(desc, bs2, 10)
         brute = next(
             k
             for k in range(2, 9)
@@ -127,15 +126,24 @@ class TestExponent:
     def test_small_constant_phi_sup(self):
         desc, bs = univariate(coeffs=(0, 1), emax=0)
         from dataclasses import replace
-        from cperturb.bounds import ConstLine, Sym
 
-        bs2 = replace(bs, phi_sup_line=ConstLine(Sym(F(1))))
+        bs2 = replace(bs, phi_sup=F(1))
         assert bs2.s_inf(10) <= 1
-        assert exponent_requirement(desc, bs2, F(3, 4), L=10) == 2
+        assert _k_requirement(desc, bs2, 10) == 2
+
+    def test_exact_at_a_power_of_two(self):
+        # 2^(2^(K-1)) >= phi_sup + S_inf(L) is decided on rationals, so a sum
+        # of exactly 2^(2^(K-1)) still takes K and the least step above it K + 1
+        from dataclasses import replace
+
+        desc, bs = univariate(coeffs=(0, 1), emax=0)
+        for top, K in ((8, 4), (16, 5)):
+            assert _k_requirement(desc, replace(bs, phi_sup=F(2) ** top - bs.s_inf(10)), 10) == K
+            assert _k_requirement(desc, replace(bs, phi_sup=F(2) ** top), 10) == K + 1
 
     def test_nondecreasing_in_p(self):
         desc, bs = monomial_xy(emax=1)
-        ks = [exponent_requirement(desc, bs, p) for p in (F(1, 2), F(3, 4), F(9, 10))]
+        ks = [quantified_relations(desc, bs, p).K_f for p in (F(1, 2), F(3, 4), F(9, 10))]
         assert ks == sorted(ks)
 
 
@@ -224,7 +232,7 @@ class TestEmptyRoute:
             kind="empty",
             region_line=None,
             phi_inf_line=phi_line,
-            phi_sup_line=ConstLine(Sym(F(7))),
+            phi_sup=F(7),
             s_inf_coeff=F(100),
             gamma_hat=(F(1, 2),),
             mu_u=F(2),
@@ -239,13 +247,12 @@ class TestEmptyRoute:
             assert req.L_f == req.L_safe == bs.s_inf_inverse_L(self.PHI) == 6  # ceil(log2(100/3))
             assert req.L_grid == 0
             assert req.phi == self.PHI and req.exact
-            assert exponent_requirement(desc, bs, p) == req.K_f
-            assert exponent_requirement(desc, bs, p, L=req.L_f) == req.K_f
+            assert _k_requirement(desc, bs, req.L_f) == req.K_f
 
     def test_probability_clamps(self):
         desc, bs = self.make(ConstLine(Sym(self.PHI)))
         L = quantified_relations(desc, bs, F(1, 2)).L_f
-        K = exponent_requirement(desc, bs, F(1, 2))
+        K = quantified_relations(desc, bs, F(1, 2)).K_f
         ok = probability(desc, bs, L, K)
         assert (ok.p_inf, ok.p_grid, ok.p_sup) == (1, 1, 1)
         assert {"p_inf", "p_grid"} <= set(ok.clamped)
@@ -259,8 +266,6 @@ class TestEmptyRoute:
         desc, bs = self.make(phi_line)
         with pytest.raises(NotAnalyzable):
             quantified_relations(desc, bs, F(1, 2))
-        with pytest.raises(NotAnalyzable):
-            exponent_requirement(desc, bs, F(1, 2))
 
     @pytest.mark.parametrize("phi_line", [PowerLine(Sym(F(3)), 1), MinQuadLine(((F(3), F(1)),))],
                              ids=["power", "min_quad"])
